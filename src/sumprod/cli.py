@@ -55,6 +55,13 @@ def _emit_json(outdir: str, name: str, payload: dict, header: dict) -> str:
     return path
 
 
+def _emit_csv(outdir: str, name: str, rows: list) -> str:
+    path = os.path.join(outdir, name)
+    _write(path, "\n".join(",".join(str(c) for c in row) for row in rows)
+           + "\n")
+    return path
+
+
 def _header(args, keys) -> dict:
     resolved = {k: getattr(args, k) for k in keys if hasattr(args, k)}
     resolved["precedence"] = "cli>config-file>defaults"
@@ -124,10 +131,8 @@ def _cmd_threshold(args) -> int:
         args.time_budget = 60.0  # exploratory runs must stay budgeted
     res = sp_number(args.r, nmax=args.nmax,
                     time_budget_s=args.time_budget)
-    _write(os.path.join(args.output, "threshold.json"),
-           json.dumps({"config": _header(args, ["r", "nmax"]),
-                       "result": json.loads(res.to_json())},
-                      sort_keys=True, indent=1) + "\n")
+    _emit_json(args.output, "threshold.json", json.loads(res.to_json()),
+               _header(args, ["r", "nmax"]))
     if res.n_star is None:
         print(f"threshold r={args.r}: not found <= {res.exhausted_at} "
               f"({res.note})")
@@ -170,8 +175,7 @@ def _cmd_norms(args) -> int:
             rows.append([q, h, repr(nl), repr(nu), repr(np_)])
             table.append({"q": q, "H": h, "u1log": nl, "u1": nu,
                           "u1log_projected": np_})
-    _write(os.path.join(args.output, "norms.csv"),
-           "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+    _emit_csv(args.output, "norms.csv", rows)
     _emit_json(args.output, "norms.json",
                {"table": [{k: (repr(v) if isinstance(v, float) else v)
                            for k, v in row.items()} for row in table]},
@@ -220,12 +224,8 @@ def _cmd_dioph(args) -> int:
         rep = weyl_structure_scan(tables, args.X, args.m, args.eps,
                                   exponent=args.exponent,
                                   grid_points=args.grid)
-        _write(os.path.join(args.output, "weyl.json"),
-               json.dumps({"config": _header(args,
-                                             ["X", "m", "eps", "exponent",
-                                              "grid"]),
-                           "result": json.loads(rep.to_json())},
-                          sort_keys=True, indent=1) + "\n")
+        _emit_json(args.output, "weyl.json", json.loads(rep.to_json()),
+                   _header(args, ["X", "m", "eps", "exponent", "grid"]))
         print(f"weyl: obligated={len(rep.rows)} all_pass={rep.all_pass} "
               f"empirical_E={rep.empirical_E:.4g}")
         return EXIT_OK if rep.all_pass else EXIT_BOUND_FAILED
@@ -244,15 +244,10 @@ def _cmd_dioph(args) -> int:
     levels = [float(v) for v in args.levels.split(",")]
     rep = dioph_verify(S, params, levels, grid_points=args.grid,
                        want_empirical_L=args.empirical_L)
-    _write(os.path.join(args.output, "dioph.json"),
-           json.dumps({"config": _header(args, ["set", "D", "intervals",
-                                                "j", "L", "Lp", "levels",
-                                                "grid"]),
-                       "result": json.loads(rep.to_json())},
-                      sort_keys=True, indent=1) + "\n")
-    rows = rep.csv_summary_rows()
-    _write(os.path.join(args.output, "dioph_summary.csv"),
-           "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+    _emit_json(args.output, "dioph.json", json.loads(rep.to_json()),
+               _header(args, ["set", "D", "intervals", "j", "L", "Lp",
+                              "levels", "grid"]))
+    _emit_csv(args.output, "dioph_summary.csv", rep.csv_summary_rows())
     print(f"dioph: levels={levels} all_pass={rep.all_pass} "
           f"certified={rep.certified} empirical_L={rep.empirical_L}")
     return EXIT_OK if rep.all_pass else EXIT_BOUND_FAILED
@@ -264,11 +259,8 @@ def _cmd_sieve(args) -> int:
     dec = band_decompose(args.X, args.R, args.Q, cexp=args.cexp, A=args.A,
                          variant=args.variant)
     rep = verify_sieve_bounds(dec)
-    _write(os.path.join(args.output, "sieve_report.json"),
-           json.dumps({"config": _header(args, ["X", "R", "Q", "cexp", "A",
-                                                "variant"]),
-                       "result": json.loads(rep.to_json())},
-                      sort_keys=True, indent=1) + "\n")
+    _emit_json(args.output, "sieve_report.json", json.loads(rep.to_json()),
+               _header(args, ["X", "R", "Q", "cexp", "A", "variant"]))
     if args.export_decomposition:
         _write(os.path.join(args.output, "decomposition.json"),
                dec.export_json() + "\n")
@@ -290,14 +282,9 @@ def _cmd_richness(args) -> int:
                          prime_windows=tuple(_parse_intervals(args.windows)),
                          kmax=args.kmax)
     rep = richness_scan(col, cfg)
-    rows = rep.to_csv_rows()
-    _write(os.path.join(args.output, "richness.csv"),
-           "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
-    _write(os.path.join(args.output, "richness.json"),
-           json.dumps({"config": _header(args, ["r", "V", "imax", "windows",
-                                                "kmax"]),
-                       "result": json.loads(rep.to_json())},
-                      sort_keys=True, indent=1) + "\n")
+    _emit_csv(args.output, "richness.csv", rep.to_csv_rows())
+    _emit_json(args.output, "richness.json", json.loads(rep.to_json()),
+               _header(args, ["r", "V", "imax", "windows", "kmax"]))
     print(f"richness: N={rep.N} selected color={rep.selected_color} "
           f"hits={rep.hits_per_color}")
     return EXIT_OK
@@ -317,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file with default parameters")
     common.add_argument("--output", default="sumprod-out",
                         help="output directory for artifacts")
-    common.add_argument("--workers", type=int,
-                        default=int(os.environ.get("SUMPROD_WORKERS", "1")),
-                        help="worker cap; kernels are vectorized and "
-                             "deterministic for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -437,9 +420,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the config-error code
         return int(exc.code) if exc.code else EXIT_OK
-    if args.workers < 1:
-        print("workers must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -30,7 +30,8 @@ import numpy as np
 
 from .averages import SampledFunction, cfsum, e_of, _log_weights
 from .errors import CapacityError, DomainError, RangeError
-from .numtheory import MultiplicativeTables, PrimeTable, harmonic
+from .numtheory import (MultiplicativeTables, PrimeTable,
+                        convergent_denominators, harmonic)
 from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
@@ -208,22 +209,11 @@ def best_q_on_grid(j: int, M: int, cap: int) -> tuple[int, float]:
     convergents, so the first zero wins).
     """
     best_q, best_num = 1, min(j % M, M - j % M)
-    a, b = j % M, M
-    qm2, qm1 = 1, 0
-    while b:
-        ai = a // b
-        qi = ai * qm1 + qm2
-        if qi > cap:
-            break
-        if qi >= 1:
-            r = (qi * j) % M
-            e = min(r, M - r)
-            if e < best_num:
-                best_q, best_num = qi, e
-            if e == 0:
-                break
-        qm2, qm1 = qm1, qi
-        a, b = b, a % b
+    for q in convergent_denominators(j % M, M, cap):
+        r = (q * j) % M
+        e = min(r, M - r)
+        if e < best_num:
+            best_q, best_num = q, e
     return best_q, best_num / M
 
 
@@ -235,23 +225,12 @@ def _empirical_L_requirement(j: int, M: int, delta: float, Lp: float,
     """
     base = math.log(Lp / delta)
     best = math.inf
-    a, b = j, M
-    qm2, qm1 = 1, 0
-    while True:
-        if b == 0:
-            break
-        ai = a // b
-        qi = ai * qm1 + qm2
-        if qi >= 1:
-            r = (qi * j) % M
-            err = min(r, M - r) / M
-            need_q = math.log(qi) / base if qi > 1 else 0.0
-            need_e = math.log(err * D) / base if err * D > 1 else 0.0
-            best = min(best, max(need_q, need_e, 1.0))
-        qm2, qm1 = qm1, qi
-        a, b = b, a % b
-        if qi > 10 ** 12:
-            break
+    for q in convergent_denominators(j, M):
+        r = (q * j) % M
+        err = min(r, M - r) / M
+        need_q = math.log(q) / base if q > 1 else 0.0
+        need_e = math.log(err * D) / base if err * D > 1 else 0.0
+        best = min(best, max(need_q, need_e, 1.0))
     return best
 
 

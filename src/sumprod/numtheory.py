@@ -1,11 +1,11 @@
 """Exact integer number-theory kernel.
 
-Sieves, multiplicative-function tables, Ramanujan sums via the Kluyver
-divisor identity, best rational approximation, and compensated harmonic /
-Mertens sums.  Everything here is deterministic and uses exact integer
-arithmetic where the result is an integer; floating sums go through
-math.fsum, which is exact up to the final rounding and independent of
-summation blocking.
+Sieves, multiplicative-function tables, the Mobius function, Ramanujan
+sums via the Kluyver divisor identity, continued-fraction convergents,
+best rational approximation, and compensated harmonic / Mertens sums.
+Everything here is deterministic and uses exact integer arithmetic where
+the result is an integer; floating sums go through math.fsum, which is
+exact up to the final rounding and independent of summation blocking.
 """
 
 from __future__ import annotations
@@ -115,27 +115,42 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def mobius(n: int) -> int:
+    """mu(n) for n >= 1, read off the factorization."""
+    mu = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
 def ramanujan_sum(q: int, n: int) -> int:
     """c_q(n) = sum over d | gcd(n, q) of d * mu(q/d), exact integer."""
     if q < 1:
         raise DomainError("ramanujan_sum needs q >= 1")
-    fac_q = dict(factorize(q)) if q > 1 else {}
-    g = math.gcd(n, q)
-    total = 0
-    for d in divisors(g):
-        # mu(q/d): q/d has exponent fac_q[p] - (exponent of p in d)
-        mu = 1
-        rem = dict(fac_q)
-        for p, e in factorize(d) if d > 1 else []:
-            rem[p] = rem[p] - e
-        for p, e in rem.items():
-            if e >= 2:
-                mu = 0
-                break
-            if e == 1:
-                mu = -mu
-        total += d * mu
-    return total
+    return sum(d * mobius(q // d) for d in divisors(math.gcd(n, q)))
+
+
+def convergent_denominators(a: int, b: int,
+                            qmax: int | None = None) -> list[int]:
+    """Continued-fraction convergent denominators q_0 = 1, q_1, ... of a/b.
+
+    Exact integer arithmetic for a >= 0, b >= 1; the list ends with the
+    reduced denominator of a/b, or before the first q > qmax.  For
+    0 <= a < b the minimum of ||q a/b|| over q <= qmax is attained at
+    one of these q.
+    """
+    out = []
+    qm2, qm1 = 1, 0  # q_{-2}, q_{-1}
+    while b:
+        qi = (a // b) * qm1 + qm2
+        if qmax is not None and qi > qmax:
+            break
+        out.append(qi)
+        qm2, qm1 = qm1, qi
+        a, b = b, a % b
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,20 +192,12 @@ def best_rational_approx(theta: float, qmax: int) -> RationalApprox:
     from fractions import Fraction
 
     frac_theta = Fraction(theta)
-    a, b = frac_theta.numerator, frac_theta.denominator
-    qm2, qm1 = 1, 0  # q_{-2}, q_{-1}
     best_q, best_err = 1, _dist_to_int(theta)
-    while b:
-        ai = a // b
-        qi = ai * qm1 + qm2
-        if qi > qmax:
-            break
-        if qi >= 1:
-            e = _dist_to_int(qi * theta)
-            if e < best_err:
-                best_q, best_err = qi, e
-        qm2, qm1 = qm1, qi
-        a, b = b, a % b
+    for q in convergent_denominators(frac_theta.numerator,
+                                     frac_theta.denominator, qmax):
+        e = _dist_to_int(q * theta)
+        if e < best_err:
+            best_q, best_err = q, e
     return RationalApprox(q=best_q, a=round(best_q * theta), err=best_err)
 
 

@@ -11,6 +11,7 @@ backtracking with symmetry breaking under a node budget.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,9 +144,6 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
     verts = graph.vertices
     if not verts:
         return "colorable", {}, {"nodes": 0, "max_depth": 0}
-    import sys
-    if sys.getrecursionlimit() < len(verts) + 200:
-        sys.setrecursionlimit(len(verts) + 200)
     adj = graph.adj
     color: dict[int, int] = {}
     neigh_colors: dict[int, set] = {v: set() for v in verts}
@@ -193,7 +191,12 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
                 return None
         return False
 
-    res = solve(0, 0)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, len(verts) + 200))
+    try:
+        res = solve(0, 0)
+    finally:
+        sys.setrecursionlimit(old_limit)
     trace = {"nodes": nodes, "max_depth": max_depth}
     if res is None:
         return "indeterminate", {}, trace

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .numtheory import MultiplicativeTables, divisors, sieve_primes
+from .numtheory import (MultiplicativeTables, divisors, factorize, mobius,
+                        ramanujan_sum, sieve_primes)
 
 FACTORIAL_TABLE_BUDGET = 5_000_000
 DEFAULT_CEXP = 0.125
@@ -96,8 +97,7 @@ class SieveCoefficients:
     variant: str
     c: dict
 
-    def reconstruct_at(self, n: int, tables: MultiplicativeTables) -> float:
-        from .numtheory import ramanujan_sum
+    def reconstruct_at(self, n: int) -> float:
         return math.fsum(v * ramanujan_sum(q, n) for q, v in self.c.items())
 
     def to_json(self) -> str:
@@ -130,26 +130,17 @@ def ramanujan_expand(X: int, R: float,
             w = w1 * (mob[q2] / phi[q2])
             g = math.gcd(q1, q2)
             ab = (q1 // g) * (q2 // g)
+            primes_g = [p for p, _ in factorize(g)]
             for d in divisors(g):
                 # weight prod_{p | g/d} (p-1) * prod_{p | d} (p-2)
                 factor = 1
-                for p, _ in _factor_cached(g):
+                for p in primes_g:
                     factor *= (p - 2) if d % p == 0 else (p - 1)
                 key = ab * d
                 coeffs[key] = coeffs.get(key, 0.0) + w * factor
     _, normalizer = _inner_weights(R, tables, variant)
     c = {q: v / normalizer for q, v in coeffs.items() if abs(v) > 0.0}
     return SieveCoefficients(R=R, normalizer=normalizer, variant=variant, c=c)
-
-
-_FACTOR_CACHE: dict[int, list] = {}
-
-
-def _factor_cached(n: int) -> list:
-    if n not in _FACTOR_CACHE:
-        from .numtheory import factorize
-        _FACTOR_CACHE[n] = factorize(n) if n > 1 else []
-    return _FACTOR_CACHE[n]
 
 
 @dataclass
@@ -198,22 +189,13 @@ def _basis_sum_on_range(c_items, X: int, length: int) -> np.ndarray:
     w: dict[int, float] = {}
     for q, cq in c_items:
         for d in divisors(q):
-            mu = _mobius_small(q // d)
+            mu = mobius(q // d)
             if mu:
                 w[d] = w.get(d, 0.0) + cq * mu * d
     for d, wd in w.items():
         first = -X % d
         out[first::d] += wd
     return out
-
-
-def _mobius_small(n: int) -> int:
-    mu = 1
-    for p, e in _factor_cached(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
@@ -238,9 +220,9 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
     # head moduli are squarefree, so the minimal period is the primorial
     # of 2^i0 (which divides Q! when Q >= 2^i0... in fact Q! is always a
     # multiple since every head modulus is <= 2^i0 <= Q)
-    period = 1
-    for p in _primes_up_to(min(2 ** i0, max(r2, 1))):
-        period *= p
+    bound = min(2 ** i0, max(r2, 1))
+    period = (math.prod(sieve_primes(bound).primes_array().tolist())
+              if bound >= 2 else 1)
     if period > FACTORIAL_TABLE_BUDGET:
         raise CapacityError(
             f"periodic head table of {period} entries exceeds the budget")
@@ -273,14 +255,6 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
         period=period, lam_per_table=lam_per_table, lam_per=lam_per,
         band_index=band_index, bands=bands, gprime=gprime, h=h,
         f_bands=f_bands)
-
-
-def _primes_up_to(bound: int) -> list:
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % p for p in out):
-            out.append(n)
-    return out
 
 
 @dataclass

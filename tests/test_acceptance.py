@@ -210,7 +210,7 @@ class TestAcceptance:
             ok = ok and lam.min() >= 0.0
             rng = np.random.default_rng(DEFAULT_SEED)
             for n in rng.integers(X, 2 * X, 1000):
-                rec = dec.coeffs.reconstruct_at(int(n), None)
+                rec = dec.coeffs.reconstruct_at(int(n))
                 ok = ok and abs(rec - lam[int(n) - X]) <= \
                     1e-8 * max(1.0, lam[int(n) - X])
             ok = ok and rep.majorant_min_prime_over_logR >= 0.8

@@ -103,6 +103,12 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_removed_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert run(["extremal", "--r", "1", "--workers", "2",
+                    "--output", out]) == 2
+        assert not os.path.exists(out)
+
     def test_bad_parameter(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["dioph", "--mode", "verify", "--levels", "2.0",

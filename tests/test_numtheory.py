@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumprod.errors import DomainError, RangeError
 from sumprod.numtheory import (MultiplicativeTables, best_rational_approx,
-                               harmonic, mertens_sum, primes_in,
-                               ramanujan_sum, sieve_primes)
+                               convergent_denominators, harmonic,
+                               mertens_sum, mobius, primes_in, ramanujan_sum,
+                               sieve_primes)
 
 
 def trial_primes(lo, hi):
@@ -167,6 +169,65 @@ class TestBestRationalApprox:
         assert r.err < 1e-6
 
 
+def fraction_cf_denominators(a, b):
+    """Denominators of the truncations [a0; a1, ..., ak] of a/b."""
+    quotients, x = [], Fraction(a, b)
+    while True:
+        ai = math.floor(x)
+        quotients.append(ai)
+        if x == ai:
+            break
+        x = 1 / (x - ai)
+    out = []
+    for k in range(len(quotients)):
+        value = Fraction(quotients[k])
+        for ai in reversed(quotients[:k]):
+            value = ai + 1 / value
+        out.append(value.denominator)
+    return out
+
+
+class TestConvergentDenominators:
+    def test_matches_fraction_expansion(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            b = int(rng.integers(1, 10 ** 9))
+            a = int(rng.integers(0, 3 * b))
+            assert convergent_denominators(a, b) == \
+                fraction_cf_denominators(a, b)
+
+    def test_ends_at_reduced_denominator(self):
+        assert convergent_denominators(0, 7) == [1]
+        assert convergent_denominators(6, 8) == [1, 1, 4]
+        assert convergent_denominators(355, 113)[-1] == 113
+
+    def test_qmax_truncates(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            M = int(rng.integers(2, 2 ** 26))
+            j = int(rng.integers(0, M))
+            full = convergent_denominators(j, M)
+            for qmax in (-3, 0, 1, int(rng.integers(1, M + 1)), M, 2 * M):
+                assert convergent_denominators(j, M, qmax) == \
+                    [q for q in full if q <= qmax]
+
+
+class TestBestRationalApproxPinned:
+    @pytest.mark.parametrize("theta,qmax,q,a", [
+        (math.pi, 10 ** 7, 1725033, 244252),
+        (math.sqrt(2), 10 ** 9, 147830751, 61233502),
+        (math.e, 2 * 10 ** 6, 398959, 286565),
+        ((1 + math.sqrt(5)) / 2, 10 ** 8, 39088169, 24157817),
+        (0.1, 10 ** 12, 10, 1),
+        (0.3333333333, 10 ** 7, 3, 1),
+    ])
+    def test_convergent_path_values(self, theta, qmax, q, a):
+        # qmax above the direct-scan cutoff: pinned results of the
+        # convergent path
+        r = best_rational_approx(theta, qmax)
+        assert (r.q, r.a) == (q, a)
+
+
 class TestHarmonic:
     def test_values(self):
         assert harmonic(1) == 1.0
@@ -189,6 +250,12 @@ class TestMultiplicativeTables:
         for a, b in pairs:
             assert mob[a * b] == mob[a] * mob[b]
             assert phi[a * b] == phi[a] * phi[b]
+
+    def test_scalar_mobius_matches_table(self, tables_1e5):
+        for n in range(1, 3001):
+            assert mobius(n) == tables_1e5.mobius[n]
+        with pytest.raises(DomainError):
+            mobius(0)
 
     def test_phi_divisor_identity(self, tables_1e5):
         phi = tables_1e5.phi

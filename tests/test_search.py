@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -102,6 +103,15 @@ class TestColorability:
     def test_rejects_bad_r(self):
         with pytest.raises(DomainError):
             colorability(20, 0)
+
+    def test_recursion_limit_restored(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            colorability(600, 3)  # the search recurses deeper than 300
+            assert sys.getrecursionlimit() == 300
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestSpNumber:

@@ -119,7 +119,7 @@ class TestRamanujanExpand:
         lam = selberg_majorant(X, R)
         rng = np.random.default_rng(11)
         for n in rng.integers(X, 2 * X, 50):
-            rec = coeffs.reconstruct_at(int(n), None)
+            rec = coeffs.reconstruct_at(int(n))
             assert abs(rec - lam[int(n) - X]) <= 1e-8 * max(1.0,
                                                             lam[int(n) - X])
 
