@@ -5,13 +5,15 @@ r-colorability of the pattern graph on [7, N] whose edges join x+y to
 xy over x > y > 2, xy <= N (no self-loops: xy >= 3x > x+y there).
 r = 1 reduces to the first edge, r = 2 to bipartiteness (union-find
 with parity, streaming edges in product order), r >= 3 to DSATUR
-backtracking with symmetry breaking under a node budget.
+backtracking with symmetry breaking under a node budget (Brelaz, CACM
+1979).  The search runs on an explicit stack, so its depth is not
+bounded by the recursion limit, and picks vertices from one bitset of
+uncolored vertices per saturation level instead of scanning them all.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,70 +139,88 @@ DEFAULT_NODE_BUDGET = 2_000_000
 def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
     """Exists a proper r-coloring?  (verdict, assignment, trace).
 
-    DSATUR order, deterministic tie-break by smallest vertex; symmetry
-    broken by allowing at most one fresh color per step (so the first
-    vertex gets color 0, the second at most color 1).
+    DSATUR order: most distinct neighbour colors, then highest degree,
+    then smallest vertex; symmetry broken by allowing at most one fresh
+    color per step (so the first vertex gets color 0, the second at
+    most color 1).  Vertices are ranked once by (-degree, vertex) and
+    every vertex set is a Python-int bitset over those ranks:
+    level[s] holds the uncolored ranks with s distinct neighbour
+    colors, so the pick is the lowest bit of the highest non-empty
+    level, and has[c] holds the ranks with a neighbour colored c (the
+    per-vertex color masks, stored by color).  The backtracking runs
+    on an explicit stack of (vertex, color, used, touched) frames,
+    touched being the neighbours that color moved up one level.
     """
     verts = graph.vertices
     if not verts:
         return "colorable", {}, {"nodes": 0, "max_depth": 0}
     adj = graph.adj
-    color: dict[int, int] = {}
-    neigh_colors: dict[int, set] = {v: set() for v in verts}
+    # the symmetry rule never reaches color len(verts), so the per-color
+    # and per-level lists need no more entries than that
+    r = min(r, len(verts))
+    order = sorted(verts, key=lambda v: (-len(adj[v]), v))
+    rank = {v: i for i, v in enumerate(order)}
+    nbrs = [sum(1 << rank[u] for u in adj[v]) for v in order]
+    uncolored = (1 << len(order)) - 1
+    level = [uncolored] + [0] * r
+    has = [0] * r
+    stack: list[tuple[int, int, int, int]] = []
     nodes = 0
     max_depth = 0
-
-    def pick() -> int:
-        best, best_sat, best_deg = -1, -1, -1
-        for v in verts:
-            if v in color:
-                continue
-            sat, deg = len(neigh_colors[v]), len(adj[v])
-            if sat > best_sat or (sat == best_sat and deg > best_deg) or \
-                    (sat == best_sat and deg == best_deg
-                     and (best == -1 or v < best)):
-                best, best_sat, best_deg = v, sat, deg
-        return best
-
-    def solve(depth: int, used: int):
-        nonlocal nodes, max_depth
-        max_depth = max(max_depth, depth)
-        if len(color) == len(verts):
-            return True
+    used = 0
+    verdict = None
+    while verdict is None:
+        # enter a search node at depth len(stack)
+        max_depth = max(max_depth, len(stack))
+        if not uncolored:
+            verdict = "colorable"
+            break
         if nodes >= node_budget:
-            return None
-        v = pick()
-        limit = min(used + 1, r)  # symmetry: at most one fresh color
-        for c in range(limit):
-            if c in neigh_colors[v]:
-                continue
-            nodes += 1
-            color[v] = c
-            touched = []
-            for u in adj[v]:
-                if u not in color and c not in neigh_colors[u]:
-                    neigh_colors[u].add(c)
-                    touched.append(u)
-            res = solve(depth + 1, max(used, c + 1))
-            if res:
-                return True
-            for u in touched:
-                neigh_colors[u].discard(c)
-            del color[v]
-            if res is None:
-                return None
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(verts) + 200))
-    try:
-        res = solve(0, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            verdict = "indeterminate"
+            break
+        s = r
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        i = low.bit_length() - 1
+        level[s] ^= low
+        uncolored ^= low
+        c = 0
+        while True:
+            limit = min(used + 1, r)  # symmetry: at most one fresh color
+            while c < limit and has[c] & low:
+                c += 1
+            if c < limit:
+                nodes += 1
+                touched = nbrs[i] & uncolored & ~has[c]
+                has[c] |= touched
+                for t in range(r - 1, -1, -1):
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t + 1] |= moved
+                stack.append((i, c, used, touched))
+                used = max(used, c + 1)
+                break
+            # every color failed: uncolor i and resume its parent
+            level[sum(1 for h in has if h & low)] |= low
+            uncolored |= low
+            if not stack:
+                verdict = "not-colorable"
+                break
+            i, c, used, touched = stack.pop()
+            low = 1 << i
+            has[c] ^= touched
+            for t in range(1, r + 1):
+                moved = level[t] & touched
+                if moved:
+                    level[t] ^= moved
+                    level[t - 1] |= moved
+            c += 1
     trace = {"nodes": nodes, "max_depth": max_depth}
-    if res is None:
-        return "indeterminate", {}, trace
-    return ("colorable" if res else "not-colorable"), dict(color), trace
+    if verdict != "colorable":
+        return verdict, {}, trace
+    return verdict, {order[i]: c for i, c, _, _ in stack}, trace
 
 
 def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,

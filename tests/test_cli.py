@@ -42,6 +42,14 @@ class TestSubcommands:
         obj = json.load(open(os.path.join(out, "threshold.json")))
         assert obj["result"]["n_star"] == 12
 
+    def test_threshold_r3(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run(["threshold", "--r", "3", "--nmax", "800",
+                    "--output", out]) == 0
+        obj = json.load(open(os.path.join(out, "threshold.json")))
+        assert obj["result"]["n_star"] == 774
+        assert obj["result"]["at"]["trace"]["nodes"] == 87982
+
     def test_threshold(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["threshold", "--r", "2", "--output", out]) == 0

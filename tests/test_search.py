@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 
@@ -104,14 +105,72 @@ class TestColorability:
         with pytest.raises(DomainError):
             colorability(20, 0)
 
-    def test_recursion_limit_restored(self):
+    def test_recursion_limit_restored(self, monkeypatch):
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(300)
+
+        def refuse(limit):
+            raise AssertionError("the search changed the recursion limit")
+
         try:
-            colorability(600, 3)  # the search recurses deeper than 300
+            monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+            colorability(600, 3)
+            cert = colorability(773, 3)  # the search goes deeper than 300
+            assert cert.trace["max_depth"] > 300
             assert sys.getrecursionlimit() == 300
         finally:
+            monkeypatch.undo()
             sys.setrecursionlimit(saved)
+
+
+def _sha(obj):
+    return hashlib.sha256(obj.to_json().encode()).hexdigest()
+
+
+class TestSearchTreePinned:
+    """Node counts, depths and certificate digests of the r >= 3 search,
+    recorded from the recursive DSATUR it replaced: the pick order, the
+    symmetry rule and the budget check must give the same tree."""
+
+    def test_refutation_at_774(self):
+        cert = colorability(774, 3)
+        assert cert.verdict == "not-colorable"
+        assert cert.trace == {"nodes": 87982, "max_depth": 210}
+
+    def test_coloring_at_773(self):
+        cert = colorability(773, 3)
+        assert cert.trace == {"nodes": 835, "max_depth": 637}
+        assert _sha(cert) == ("e0b278f07f98ff0313f0a5332fb600b0"
+                              "ecb68996a06552202821c9cf242b591a")
+
+    def test_budget_cut_at_774(self):
+        cert = colorability(774, 3, node_budget=1000)
+        assert cert.verdict == "indeterminate"
+        assert cert.trace == {"nodes": 1000, "max_depth": 171}
+
+    @pytest.mark.parametrize("N, r, digest", [
+        (611, 3, "7ce5bb423b422ec834dcb3521744381b"
+                 "9752052d5e20d3434981d0fd2b874c3b"),
+        (705, 3, "0d0cb485812c91a72067cf136b976c1b"
+                 "5a220cce092e29a5d1b60110bdda9bc1"),
+        (728, 3, "6a8f8ebc30540a510f96606b8d81e2b6"
+                 "406dab49d8117f47901af730a8d01a9b"),
+        (767, 3, "fb72669ddd48ee409cbcab68a63f4a74"
+                 "18407feb14a7304e742ff13ba9c19b49"),
+        (774, 4, "2ab3140a2a2146f2fb25cf5a692b14de"
+                 "a9a8396975fbf70644b300a57b06450a"),
+        (1200, 4, "48b7965053f2d79b2b4c2e8b585daea0"
+                  "9b7be48963d285ed93afaafb4c57097c"),
+        (2000, 4, "c5ad986e227be4160b3052a7c2556049"
+                  "69e53abba81272aa54f6e896b16c1f46"),
+    ])
+    def test_certificate_digest(self, N, r, digest):
+        assert _sha(colorability(N, r)) == digest
+
+    def test_sp_number_r3_digest(self):
+        assert _sha(sp_number(3, nmax=800)) == (
+            "742a5f44a7a15782d57bd9e440134663"
+            "fa2d3dd393e22a1805963922053496bb")
 
 
 class TestSpNumber:
@@ -277,8 +336,12 @@ def fail_first_3colorable(adj, cap=5_000_000):
             del color[v]
         return False
 
+    saved = _sys.getrecursionlimit()
     _sys.setrecursionlimit(len(verts) + 200)
-    return dfs()
+    try:
+        return dfs()
+    finally:
+        _sys.setrecursionlimit(saved)
 
 
 class TestSpNumberThree:
