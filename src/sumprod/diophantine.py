@@ -188,15 +188,25 @@ class DiophReport:
         return out
 
 
+def _residue_spectrum(residues: np.ndarray, M: int,
+                      weights: np.ndarray) -> np.ndarray:
+    """|sum_i w_i e(j r_i / M)| for j = 0..M//2, residues r_i in [0, M).
+
+    The weights are accumulated at their residues in input order, so
+    the sums are those of a sequential loop (float weights also keep
+    bincount from allocating an integer table that rfft must copy), and
+    one real DFT gives every j at once.
+    """
+    return np.abs(np.fft.rfft(np.bincount(residues, weights, minlength=M)))
+
+
 def _spectrum_on_grid(S: np.ndarray, M: int) -> np.ndarray:
     """|E_{s in S} e(j s / M)| for j = 0..M//2, exact via DFT of counts."""
-    counts = np.zeros(M, dtype=np.float64)
     if S.dtype == object:
         idx = np.array([int(s) % M for s in S], dtype=np.int64)
     else:
         idx = np.mod(S, M).astype(np.int64)
-    np.add.at(counts, idx, 1.0)
-    return np.abs(np.fft.rfft(counts)) / len(S)
+    return _residue_spectrum(idx, M, np.ones(idx.size)) / len(S)
 
 
 def best_q_on_grid(j: int, M: int, cap: int) -> tuple[int, float]:
@@ -468,9 +478,7 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     else:
         residues = np.array([pow(int(v), m, M) for v in n.tolist()],
                             dtype=np.int64)
-    acc = np.zeros(M, dtype=np.float64)
-    np.add.at(acc, residues, tables.vonmangoldt[1: X + 1])
-    absvals = np.abs(np.fft.rfft(acc))
+    absvals = _residue_spectrum(residues, M, tables.vonmangoldt[1: X + 1])
 
     cap = int(math.ceil(eps ** (-exponent)))
     thresh = eps ** (-exponent) * float(X) ** (-m)

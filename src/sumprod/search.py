@@ -3,17 +3,21 @@
 Avoiding a monochromatic pair with r colors is exactly proper
 r-colorability of the pattern graph on [7, N] whose edges join x+y to
 xy over x > y > 2, xy <= N (no self-loops: xy >= 3x > x+y there).
-r = 1 reduces to the first edge, r = 2 to bipartiteness (union-find
-with parity, streaming edges in product order), r >= 3 to DSATUR
+colorability decides one (N, r): r = 1 reduces to the first edge, r = 2
+to bipartiteness (an odd cycle certifies failure), r >= 3 to DSATUR
 backtracking with symmetry breaking under a node budget (Brelaz, CACM
 1979).  The search runs on an explicit stack, so its depth is not
 bounded by the recursion limit, and picks vertices from one bitset of
 uncolored vertices per saturation level instead of scanning them all.
+Every coloring is checked against every edge before it is returned.
+sp_number runs one scan for every r: it extends the last good coloring
+greedily and re-solves exactly only where that gets stuck.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,89 +227,48 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
     return verdict, {order[i]: c for i, c, _, _ in stack}, trace
 
 
-def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                 solver=None) -> SearchCertificate:
+def colorability(N: int, r: int,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> SearchCertificate:
     """Decision + certificate for one (N, r).
 
-    solver, when given, replaces the built-in r >= 3 search: it is
-    called as solver(graph, r) and must return an assignment dict
-    (vertex -> color) or None for not-colorable.  The returned
-    certificate is re-verified either way.
+    A not-colorable verdict carries its witness: the forced edge
+    (r = 1), an odd cycle (r = 2) or the exhausted DSATUR trace
+    (r >= 3).  A colorable verdict carries the coloring, which is
+    checked against every edge first; a clash raises RuntimeError,
+    since it can only come from a fault in the search itself.
     """
     if r < 1:
         raise DomainError("need r >= 1")
     graph = pattern_graph(N) if N >= 7 else PatternGraph(N=N, edges=[],
                                                          adj={})
+    cert = SearchCertificate(r=r, N=N, verdict="colorable")
+    assignment: dict = {}
     if r == 1:
+        cert.trace = {"nodes": 0, "max_depth": 0}
         if graph.edges:
-            u, v = graph.edges[0]
-            return SearchCertificate(
-                r=r, N=N, verdict="not-colorable",
-                trace={"nodes": 0, "max_depth": 0, "forced_edge": [u, v]})
-        return SearchCertificate(r=r, N=N, verdict="colorable",
-                                 coloring=_full_coloring(N, r, {}),
-                                 trace={"nodes": 0, "max_depth": 0})
-    if r == 2:
+            cert.verdict = "not-colorable"
+            cert.trace["forced_edge"] = list(graph.edges[0])
+    elif r == 2:
         side, cycle = _bipartite_certificate(graph)
+        cert.trace = {"nodes": len(graph.edges), "max_depth": 0}
         if cycle is not None:
-            return SearchCertificate(r=r, N=N, verdict="not-colorable",
-                                     odd_cycle=cycle,
-                                     trace={"nodes": len(graph.edges),
-                                            "max_depth": 0})
-        return SearchCertificate(r=r, N=N, verdict="colorable",
-                                 coloring=_full_coloring(N, r, side),
-                                 trace={"nodes": len(graph.edges),
-                                        "max_depth": 0})
-    if solver is not None:
-        assignment = solver(graph, r)
-        verdict = "colorable" if assignment is not None else "not-colorable"
-        trace = {"nodes": 0, "max_depth": 0, "external_solver": True}
-        if assignment is not None:
-            for u, v in graph.edges:
-                if assignment.get(u) == assignment.get(v):
-                    raise DomainError(
-                        "external solver returned an improper coloring")
+            cert.verdict, cert.odd_cycle = "not-colorable", cycle
+        else:
+            assignment = side
     else:
-        verdict, assignment, trace = _dsatur_decide(graph, r, node_budget)
-    cert = SearchCertificate(r=r, N=N, verdict=verdict, trace=trace)
-    if verdict == "colorable":
+        cert.verdict, assignment, cert.trace = _dsatur_decide(
+            graph, r, node_budget)
+    if cert.verdict == "colorable":
         cert.coloring = _full_coloring(N, r, assignment)
+        cols = cert.coloring.colors
+        ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2) - 1
+        clash = np.flatnonzero(cols[ends[:, 0]] == cols[ends[:, 1]])
+        if clash.size:
+            u, v = graph.edges[clash[0]]
+            raise RuntimeError(
+                f"improper {r}-coloring of the N = {N} pattern graph: "
+                f"{u} and {v} share a color")
     return cert
-
-
-class _ParityDSU:
-    """Union-find tracking parity of the path to the representative."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.par: dict[int, int] = {}
-
-    def find(self, x: int) -> tuple[int, int]:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.par[x] = 0
-            return x, 0
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
-        p = 0
-        for v in reversed(path):
-            p ^= self.par[v]
-            self.parent[v] = root
-            self.par[v] = p
-        return root, self.par[path[0]] if path else 0
-
-    def union(self, a: int, b: int) -> bool:
-        """Join with odd constraint (different sides); False on conflict."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return pa != pb
-        self.parent[rb] = ra
-        self.par[rb] = pa ^ pb ^ 1
-        return True
 
 
 @dataclass
@@ -330,36 +293,17 @@ def sp_number(r: int, nmax: int | None = None,
               time_budget_s: float | None = None) -> ThresholdResult:
     """Smallest N <= nmax whose pattern graph is not r-colorable.
 
-    The certificate pair re-verifies: colorable at N*-1, not-colorable
-    at N*.  For r >= 3 nothing is asserted when the scan or the node
-    budget is exhausted.
+    One scan for every r: each new product vertex takes the first color
+    free among its neighbours, and only when none is free does the
+    exact colorability(N, r) decide N (and, if colorable, replace the
+    greedy coloring).  The certificate pair re-verifies: colorable at
+    N* - 1, not-colorable at N*.  When the scan reaches nmax or runs out
+    of its node or time budget, n_star is None and the note says which.
     """
     if r < 1:
         raise DomainError("need r >= 1")
     if nmax is None:
         nmax = {1: 100, 2: 10_000}.get(r, 1_000_000)
-    if r == 1:
-        n_star = 12  # first pattern is (x, y) = (4, 3): {7, 12}
-        if nmax < n_star:
-            return ThresholdResult(r, None, None, None, nmax,
-                                   "no edge below nmax")
-        return ThresholdResult(r, n_star, colorability(n_star - 1, r),
-                               colorability(n_star, r))
-    if r == 2:
-        dsu = _ParityDSU()
-        for N in range(12, nmax + 1):
-            ok = True
-            for u, v in _edges_with_product(N):
-                if not dsu.union(u, v):
-                    ok = False
-            if not ok:
-                return ThresholdResult(r, N, colorability(N - 1, r),
-                                       colorability(N, r))
-        return ThresholdResult(r, None, None, None, nmax,
-                               "bipartite for all N <= nmax")
-    # r >= 3: greedy extension of the last good coloring, full DSATUR
-    # re-solve only when a new product vertex cannot be colored greedily
-    import time
     t0 = time.monotonic()
     assignment: dict[int, int] = {}
     adj: dict[int, set] = {}

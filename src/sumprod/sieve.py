@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diophantine import _residue_spectrum
 from .errors import CapacityError, DomainError
 from .numtheory import (MultiplicativeTables, divisors, factorize, mobius,
                         ramanujan_sum, sieve_primes)
@@ -35,13 +36,17 @@ DEFAULT_A = 4.0
 
 
 def _tables_for(R: float) -> MultiplicativeTables:
+    """Tables up to R^2 for a sieve level R, after checking R."""
+    if R < 3:
+        raise DomainError("degenerate sieve level: need R >= 3")
+    if R * R > 10 ** 5:
+        raise CapacityError("R^2 exceeds the desk budget 1e5")
     bound = max(int(R * R) + 1, 16)
     return MultiplicativeTables.build(bound)
 
 
-def _inner_weights(R: float, tables: MultiplicativeTables,
-                   variant: str) -> tuple[np.ndarray, float]:
-    """(w_d for d <= R, normalizer); inner(n) = sum_{d | n} w_d.
+def _inner_weights(R: float, tables: MultiplicativeTables) -> np.ndarray:
+    """w_d for d <= R with inner(n) = sum_{d | n} w_d.
 
     Expanding sum_{q<=R} (mu(q)/phi(q)) c_q(n) through the Kluyver
     identity gives weights w_d = sum_{q<=R, d|q} (mu(q)/phi(q)) mu(q/d) d.
@@ -55,30 +60,30 @@ def _inner_weights(R: float, tables: MultiplicativeTables,
         coeff = mob[q] / phi[q]
         for d in divisors(q):
             w[d] += coeff * mob[q // d] * d
-    if variant == "mu_squared":
-        normalizer = math.fsum(
-            1.0 / phi[q] for q in range(1, Rq + 1) if mob[q] != 0)
-    elif variant == "mu":
-        normalizer = math.fsum(
-            mob[q] / phi[q] for q in range(1, Rq + 1) if mob[q] != 0)
-        if abs(normalizer) < 1e-12:
-            raise DomainError("mu-variant normalizer vanishes at this R")
-    else:
+    return w
+
+
+def _normalizer(R: float, tables: MultiplicativeTables, variant: str) -> float:
+    """sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for variant "mu"."""
+    if variant not in ("mu_squared", "mu"):
         raise DomainError(f"unknown variant {variant!r}")
-    return w, normalizer
+    mob, phi = tables.mobius, tables.phi
+    normalizer = math.fsum(
+        (mob[q] if variant == "mu" else 1.0) / phi[q]
+        for q in range(1, int(math.floor(R)) + 1) if mob[q] != 0)
+    if abs(normalizer) < 1e-12:  # only the alternating sum can vanish
+        raise DomainError("mu-variant normalizer vanishes at this R")
+    return normalizer
 
 
 def selberg_majorant(X: int, R: float,
                      variant: str = "mu_squared") -> np.ndarray:
     """Majorant values on [X, 2X): normalizer^-1 * (inner sum)^2."""
-    if R < 3:
-        raise DomainError("degenerate sieve level: need R >= 3")
-    if R * R > 10 ** 5:
-        raise CapacityError("R^2 exceeds the desk budget 1e5")
+    tables = _tables_for(R)
     if X < 4:
         raise DomainError("X too small")
-    tables = _tables_for(R)
-    w, normalizer = _inner_weights(R, tables, variant)
+    w = _inner_weights(R, tables)
+    normalizer = _normalizer(R, tables, variant)
     inner = np.zeros(X, dtype=np.float64)
     for d in range(1, len(w)):
         if w[d] == 0.0:
@@ -115,11 +120,8 @@ def ramanujan_expand(X: int, R: float,
     c_{q1} c_{q2} equals c_a c_b prod_{p | g} ((p-1) + (p-2) c_p), and
     expanding the product over subsets d | g lands each term on c_{abd}.
     """
-    if R < 3:
-        raise DomainError("degenerate sieve level: need R >= 3")
-    if R * R > 10 ** 5:
-        raise CapacityError("R^2 exceeds the desk budget 1e5")
     tables = _tables_for(R)
+    normalizer = _normalizer(R, tables, variant)
     Rq = int(math.floor(R))
     mob, phi = tables.mobius, tables.phi
     sq = [int(q) for q in tables.squarefree_up_to(Rq)]
@@ -138,7 +140,6 @@ def ramanujan_expand(X: int, R: float,
                     factor *= (p - 2) if d % p == 0 else (p - 1)
                 key = ab * d
                 coeffs[key] = coeffs.get(key, 0.0) + w * factor
-    _, normalizer = _inner_weights(R, tables, variant)
     c = {q: v / normalizer for q, v in coeffs.items() if abs(v) > 0.0}
     return SieveCoefficients(R=R, normalizer=normalizer, variant=variant, c=c)
 
@@ -217,9 +218,8 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
     r2 = int(math.floor(R)) ** 2
 
     head = [(q, v) for q, v in coeffs.c.items() if q <= 2 ** i0]
-    # head moduli are squarefree, so the minimal period is the primorial
-    # of 2^i0 (which divides Q! when Q >= 2^i0... in fact Q! is always a
-    # multiple since every head modulus is <= 2^i0 <= Q)
+    # every head modulus is squarefree and at most min(2^i0, R^2) <= Q,
+    # so the primorial of that bound is a period, and it divides Q!
     bound = min(2 ** i0, max(r2, 1))
     period = (math.prod(sieve_primes(bound).primes_array().tolist())
               if bound >= 2 else 1)
@@ -291,10 +291,7 @@ def _sup_fourier(g: np.ndarray, X: int, grid_points: int) -> float:
     reported implicitly through the grid density choice.
     """
     M = grid_points
-    acc = np.zeros(M, dtype=np.float64)
-    idx = np.arange(X, 2 * X) % M
-    np.add.at(acc, idx, g)
-    return float(np.max(np.abs(np.fft.rfft(acc))))
+    return float(np.max(_residue_spectrum(np.arange(X, 2 * X) % M, M, g)))
 
 
 def verify_sieve_bounds(dec: BandDecomposition,

@@ -321,6 +321,21 @@ class TestSpectrumGrid:
             direct = abs(exp_sum(S, j / M))
             assert abs(spec[j] - direct) < 1e-9
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_residue_spectrum_equals_add_at(self, weighted):
+        # the bincount kernel must reproduce sequential accumulation
+        # bit for bit, so every artifact built on it keeps its bytes
+        from sumprod.diophantine import _residue_spectrum
+        rng = np.random.default_rng(11)
+        M = 4096
+        residues = rng.integers(0, M, size=20000)  # many repeats
+        weights = (rng.standard_normal(residues.size) if weighted
+                   else np.ones(residues.size))
+        acc = np.zeros(M, dtype=np.float64)
+        np.add.at(acc, residues, weights)
+        want = np.abs(np.fft.rfft(acc))
+        assert np.array_equal(_residue_spectrum(residues, M, weights), want)
+
 
 class TestDifferencePreset:
     def test_two_difference_statistic(self):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sumprod import search
 from sumprod.coloring import find_monochromatic
 from sumprod.errors import DomainError
 from sumprod.search import (colorability, pattern_graph, sp_number,
@@ -82,7 +83,7 @@ class TestColorability:
         assert cert.verdict == "colorable"
 
     def test_colorable_certificates_reverify(self):
-        for N, r in ((12, 2), (53, 2), (200, 4)):
+        for N, r in ((11, 1), (12, 2), (53, 2), (300, 3), (200, 4)):
             cert = colorability(N, r)
             assert cert.verdict == "colorable"
             assert find_monochromatic(cert.coloring) is None
@@ -130,7 +131,9 @@ def _sha(obj):
 class TestSearchTreePinned:
     """Node counts, depths and certificate digests of the r >= 3 search,
     recorded from the recursive DSATUR it replaced: the pick order, the
-    symmetry rule and the budget check must give the same tree."""
+    symmetry rule and the budget check must give the same tree.  The
+    sp_number digests at r = 1 and r = 2 were recorded from the
+    first-edge and union-find scans that the one greedy scan replaced."""
 
     def test_refutation_at_774(self):
         cert = colorability(774, 3)
@@ -167,10 +170,16 @@ class TestSearchTreePinned:
     def test_certificate_digest(self, N, r, digest):
         assert _sha(colorability(N, r)) == digest
 
-    def test_sp_number_r3_digest(self):
-        assert _sha(sp_number(3, nmax=800)) == (
-            "742a5f44a7a15782d57bd9e440134663"
-            "fa2d3dd393e22a1805963922053496bb")
+    @pytest.mark.parametrize("r, nmax, digest", [
+        (1, None, "fdcc4e6c41d9a36c2e4ce903030dc9d2"
+                  "c4d27f9a4c73efa3e22d560b79a6d76e"),
+        (2, None, "0f4976df7cba7adb88afc1345e483cc7"
+                  "df8e2dfddb2d4c12162c91d52f41c654"),
+        (3, 800, "742a5f44a7a15782d57bd9e440134663"
+                 "fa2d3dd393e22a1805963922053496bb"),
+    ], ids=["r1", "r2", "r3"])
+    def test_sp_number_digest(self, r, nmax, digest):
+        assert _sha(sp_number(r, nmax)) == digest
 
 
 class TestSpNumber:
@@ -246,7 +255,22 @@ class TestSpNumber:
     def test_exhaustion_note(self):
         res = sp_number(2, nmax=40)
         assert res.n_star is None
-        assert "bipartite" in res.note
+        assert res.note == "2-colorable for all N <= nmax"
+        assert res.exhausted_at == 40
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("nmax", [11, 12, 40, 53, 54, 100])
+    def test_scan_matches_first_refuted_N(self, r, nmax):
+        # the greedy scan may skip N; the exact verdict at every N may not
+        first = next((N for N in range(7, nmax + 1)
+                      if colorability(N, r).verdict == "not-colorable"),
+                     None)
+        assert sp_number(r, nmax).n_star == first
+
+    def test_r3_scan_to_300_finds_nothing(self):
+        res = sp_number(3, nmax=300)
+        assert res.n_star is None
+        assert res.exhausted_at == 300
 
 
 class TestCertificateSerialization:
@@ -259,27 +283,23 @@ class TestCertificateSerialization:
         assert obj["below"]["coloring_rle"]["N"] == res.n_star - 1
 
 
-class TestPluggableSolver:
-    def test_external_assignment_accepted(self):
-        def greedy(graph, r):
-            colors = {}
-            for v in graph.vertices:
-                used = {colors[u] for u in graph.adj[v] if u in colors}
-                free = [c for c in range(r) if c not in used]
-                if not free:
-                    return None
-                colors[v] = free[0]
-            return colors
+class TestColoringReverified:
+    """A colorable verdict is checked against every edge, whichever
+    route produced it: a faulty solver raises instead of certifying."""
 
-        cert = colorability(100, 5, solver=greedy)
-        assert cert.verdict == "colorable"
-        assert cert.trace["external_solver"]
-        assert find_monochromatic(cert.coloring) is None
+    def test_improper_dsatur_coloring_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            search, "_dsatur_decide",
+            lambda g, r, budget: ("colorable", {v: 0 for v in g.vertices},
+                                  {"nodes": 0, "max_depth": 0}))
+        with pytest.raises(RuntimeError, match="improper 3-coloring"):
+            colorability(100, 3)
 
-    def test_improper_external_coloring_rejected(self):
-        with pytest.raises(DomainError):
-            colorability(12, 3, solver=lambda g, r: {v: 0 for v in
-                                                     g.vertices})
+    def test_improper_bipartite_coloring_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_bipartite_certificate",
+                            lambda g: ({v: 0 for v in g.vertices}, None))
+        with pytest.raises(RuntimeError, match="improper 2-coloring"):
+            colorability(12, 2)
 
 
 def kernelize_deg2(adj):

@@ -68,13 +68,19 @@ class TestMajorant:
             assert abs(lam[int(n) - X] - direct_majorant_value(int(n), R)) \
                 < 1e-9
 
+    # every entry point checks the sieve level before any table is built
+    LEVEL_CHECKED = (selberg_majorant, ramanujan_expand,
+                     lambda X, R: band_decompose(X, R, 6))
+
     def test_degenerate_level(self):
-        with pytest.raises(DomainError):
-            selberg_majorant(10 ** 4, 2.5)
+        for fn in self.LEVEL_CHECKED:
+            with pytest.raises(DomainError, match="degenerate sieve level"):
+                fn(10 ** 4, 2.5)
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            selberg_majorant(10 ** 6, 1000.0)
+        for fn in self.LEVEL_CHECKED:
+            with pytest.raises(CapacityError, match="desk budget"):
+                fn(10 ** 6, 1000.0)
 
     def test_mu_variant_runs(self):
         # the alternating normalizer yields a non-majorant at desk scale;
