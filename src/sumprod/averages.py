@@ -177,8 +177,7 @@ def log_avg(f: SampledFunction, N: int) -> complex:
     if N < 1:
         raise DomainError("N must be >= 1")
     f.require_cover(1, N, "log_avg")
-    vals = f.slice(1, N)
-    return cfsum(vals * _log_weights(N)) / harmonic(N)
+    return _avg_of_values(f.slice(1, N), N, "log")
 
 
 def uniform_avg(f: SampledFunction, N: int) -> complex:
@@ -186,10 +185,14 @@ def uniform_avg(f: SampledFunction, N: int) -> complex:
     if N < 1:
         raise DomainError("N must be >= 1")
     f.require_cover(1, N, "uniform_avg")
-    return cfsum(f.slice(1, N)) / N
+    return _avg_of_values(f.slice(1, N), N, "uniform")
 
 
 def _avg_of_values(vals: np.ndarray, N: int, mode: str) -> complex:
+    """Mean of vals[n - 1] over n in [N]: E^log (mode "log") or uniform.
+
+    The one place a mean is taken; a real vals gives a zero imaginary part.
+    """
     if mode == "log":
         return cfsum(vals * _log_weights(N)) / harmonic(N)
     if mode != "uniform":
@@ -285,11 +288,9 @@ def elliott_defect(f: SampledFunction, N: int, primes,
         raise DomainError("need all primes <= P <= N")
     n = np.arange(1, N + 1, dtype=np.int64)
     oob0 = f.oob_events
-    w = _log_weights(N)
-    hn = harmonic(N)
     inv_p = [1.0 / p for p in primes]
     sum_invp = math.fsum(inv_p)
-    per_prime = [cfsum(f.at(p * n) * w) / hn for p in primes]
+    per_prime = [_avg_of_values(f.at(p * n), N, "log") for p in primes]
     dilated = sum(ap * ip for ap, ip in zip(per_prime, inv_p)) / sum_invp
     lhs = abs(_avg_of_values(f.at(n), N, "log") - dilated)
     bound = math.log(P) / math.log(N) + sum_invp ** -0.5

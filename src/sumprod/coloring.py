@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .numtheory import PrimeTable, harmonic
+from .numtheory import harmonic, sieve_primes
 
 INT_BUDGET = 2 ** 62
 
@@ -194,22 +194,7 @@ _MAPPING_NOTE = (
     "and kmax are free configuration at feasible sizes")
 
 
-def _log_avg_indicator(cols: np.ndarray, color: int, b: int, N: int,
-                       hn: float) -> float:
-    """E^log_{n in [N]} 1_{A_color}(b n), normalized by H_N.
-
-    Support is n <= floor(N/b); indices bn stay <= N.
-    """
-    m = N // b
-    if m == 0:
-        return 0.0
-    n = np.arange(1, m + 1, dtype=np.int64)
-    mask = cols[b * n - 1] == color
-    return float(math.fsum((1.0 / n[mask]).tolist()) / hn)
-
-
-def richness_scan(c: Coloring, cfg: RichnessConfig,
-                  table: PrimeTable | None = None) -> RichnessReport:
+def richness_scan(c: Coloring, cfg: RichnessConfig) -> RichnessReport:
     """Per-color multiple-density table plus pair statistics.
 
     (i) for every color j and b in B0 the log-density of A_j among
@@ -225,7 +210,9 @@ def richness_scan(c: Coloring, cfg: RichnessConfig,
     tab = np.zeros((len(b_values), r), dtype=np.float64)
     for bi, b in enumerate(b_values):
         for j in range(r):
-            tab[bi, j] = _log_avg_indicator(c.colors, j, b, N, hn)
+            # with b' = b and no windows the pair statistic is the
+            # log-density of A_j among the multiples of b
+            tab[bi, j] = _pair_statistic(c.colors, j, b, b, [], N, hn)
     threshold = 1.0 / (4.0 * r)
     hits = [int(np.count_nonzero(tab[:, j] >= threshold)) for j in range(r)]
     selected = int(np.argmax(hits))  # argmax takes the smallest j on ties
@@ -235,10 +222,8 @@ def richness_scan(c: Coloring, cfg: RichnessConfig,
         raise DomainError("kmax exceeds the number of prime windows")
     primes_per_window = []
     if cfg.kmax >= 1:
-        if table is None:
-            hi = max(b for _, b in windows[: cfg.kmax])
-            from .numtheory import sieve_primes
-            table = sieve_primes(max(hi, 4))
+        hi = max(b for _, b in windows[: cfg.kmax])
+        table = sieve_primes(max(hi, 4))
         for (a, b) in windows[: cfg.kmax]:
             ps = table.primes_array(a, b)
             if len(ps) == 0:

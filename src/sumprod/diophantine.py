@@ -28,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averages import SampledFunction, cfsum, e_of, _log_weights
+from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
-from .numtheory import (MultiplicativeTables, PrimeTable,
-                        convergent_denominators, harmonic)
+from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
+                        convergent_denominators)
 from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
@@ -356,14 +356,9 @@ def vino_verify(alpha: float, T: int, delta1: float,
     qmax = int(math.floor(16 / delta2))
     thresh = delta1 / (delta2 * T)
     for q in range(1, qmax + 1):
-        if _dist_mod1(alpha * q) <= thresh:
+        if _dist_to_int(alpha * q) <= thresh:
             return VinoResult(True, count, q, False)
     return VinoResult(True, count, None, True)
-
-
-def _dist_mod1(x: float) -> float:
-    f = x - math.floor(x)
-    return min(f, 1.0 - f)
 
 
 def gamma_coprimality(M, exact: bool = False):
@@ -529,13 +524,7 @@ def concat_hypothesis(f: SampledFunction, N: int, S, T: int,
             acc += f.values[(n + t * s) - f.lo]
         per_n += np.abs(acc / T) ** 2
     per_n /= S.size
-    if mode == "log":
-        val = math.fsum((per_n * _log_weights(N)).tolist()) / harmonic(N)
-    elif mode == "uniform":
-        val = math.fsum(per_n.tolist()) / N
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return float(val)
+    return _avg_of_values(per_n, N, mode).real
 
 
 def concat_conclusion_search(f: SampledFunction, N: int, H: int, qmax: int,

@@ -65,24 +65,12 @@ def primes_in(table: PrimeTable, lo: int, hi: int) -> list[int]:
     return table.primes_array(lo, hi).tolist()
 
 
-def _is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
 def mertens_sum(primes) -> float:
     """Compensated sum of 1/p over the given primes, left to right."""
     primes = list(primes)
     for p in primes:
-        if not _is_prime_trial(int(p)):
+        n = int(p)
+        if n < 2 or factorize(n) != [(n, 1)]:
             raise DomainError(f"{p} is not prime")
     return math.fsum(1.0 / p for p in primes)
 

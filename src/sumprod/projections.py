@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import DefectRecord, SampledFunction, _log_weights
+from .averages import DefectRecord, SampledFunction, _avg_of_values
 from .errors import DomainError, RangeError
-from .numtheory import harmonic
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,20 @@ def _window_means(f: SampledFunction, N: int, q: int, H: int) -> np.ndarray:
     return A
 
 
+def _u1(f: SampledFunction, p: NormParams, mode: str) -> float:
+    A = _window_means(f, p.N, p.q, p.H)
+    sq = _avg_of_values(np.abs(A) ** 2, p.N, mode).real
+    return math.sqrt(max(sq, 0.0))
+
+
 def u1log_norm(f: SampledFunction, p: NormParams) -> float:
     """Log-weighted progression-bias norm ||f||_{U1_log[N; q, H]}."""
-    A = _window_means(f, p.N, p.q, p.H)
-    sq = math.fsum((np.abs(A) ** 2 * _log_weights(p.N)).tolist()) / harmonic(p.N)
-    return math.sqrt(max(sq, 0.0))
+    return _u1(f, p, "log")
 
 
 def u1_norm(f: SampledFunction, p: NormParams) -> float:
     """Uniform progression-bias norm ||f||_{U1[N; q, H]}."""
-    A = _window_means(f, p.N, p.q, p.H)
-    sq = math.fsum((np.abs(A) ** 2).tolist()) / p.N
-    return math.sqrt(max(sq, 0.0))
+    return _u1(f, p, "uniform")
 
 
 def project(f: SampledFunction, q: int, H: int) -> SampledFunction:
@@ -128,10 +129,6 @@ def proj_check_defect(f: SampledFunction, q: int, Hp: int, H: int,
         "q": q, "Hp": Hp, "H": H, "N": N})
 
 
-def _log_mean_sq(vals: np.ndarray, N: int) -> float:
-    return math.fsum((np.abs(vals) ** 2 * _log_weights(N)).tolist()) / harmonic(N)
-
-
 PYTHAGORAS_C = 50.0
 
 
@@ -149,10 +146,11 @@ def pythagoras_defect(f: SampledFunction, q: int, qp: int, H: int, Hp: int,
         raise DomainError("need H' <= H")
     p_small = project(f, q, H).slice(1, N)
     p_large = project(f, qp, Hp).slice(1, N)
-    lhs = _log_mean_sq(p_large - p_small, N)
+    lhs = _avg_of_values(np.abs(p_large - p_small) ** 2, N, "log").real
     err = PYTHAGORAS_C * (math.log(qp * H) / math.log(N)
                           + (qp * Hp) / (q * H))
-    rhs = _log_mean_sq(p_large, N) - _log_mean_sq(p_small, N) + err
+    rhs = (_avg_of_values(np.abs(p_large) ** 2, N, "log").real
+           - _avg_of_values(np.abs(p_small) ** 2, N, "log").real + err)
     rec = DefectRecord("pythagoras", lhs, rhs if rhs > 0 else max(rhs, 1e-300),
                        params={"q": q, "qp": qp, "H": H, "Hp": Hp, "N": N,
                                "passed": lhs <= rhs})
@@ -171,15 +169,12 @@ def maximal_lower(f: SampledFunction, g: SampledFunction, q: int, H: int,
         if float(np.min(vals.real)) < -1e-9 or \
                 float(np.max(np.abs(vals.imag))) > 1e-9:
             raise DomainError(f"{name} must be nonnegative real")
-    w = _log_weights(N)
-    hn = harmonic(N)
     fg = f.slice(1, N).real * g.slice(1, N).real
-    base = math.fsum((fg * w).tolist()) / hn
+    base = _avg_of_values(fg, N, "log").real
     pf = project(f, q, H)
     pf.require_cover(1, N, "maximal_lower")
     pg = pf.slice(1, N).real * g.slice(1, N).real
-    projected = math.fsum((pg * w).tolist()) / hn
-    return base, projected
+    return base, _avg_of_values(pg, N, "log").real
 
 
 def maximal_eps(q: int, H: int, N: int) -> float:

@@ -82,11 +82,28 @@ class SearchCertificate:
         return json.dumps(obj, sort_keys=True)
 
 
-def _full_coloring(N: int, r: int, assigned: dict) -> Coloring:
+def _checked_coloring(graph: PatternGraph, r: int,
+                      assigned: dict) -> Coloring:
+    """The coloring of [N] a search assigned (color 0 off the graph).
+
+    The colors and every edge are checked on the raw array, so a search
+    fault raises RuntimeError rather than a Coloring DomainError.
+    """
+    N = graph.N
     cols = np.zeros(N, dtype=np.int64)
     for v, c in assigned.items():
         cols[v - 1] = c
-    return Coloring(N=N, r=max(r, 1), colors=cols)
+    if N >= 1 and (cols.min() < 0 or cols.max() >= r):
+        raise RuntimeError(
+            f"a color outside [0, {r}) in the N = {N} search result")
+    ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2) - 1
+    clash = np.flatnonzero(cols[ends[:, 0]] == cols[ends[:, 1]])
+    if clash.size:
+        u, v = graph.edges[clash[0]]
+        raise RuntimeError(
+            f"improper {r}-coloring of the N = {N} pattern graph: "
+            f"{u} and {v} share a color")
+    return Coloring(N=N, r=r, colors=cols)
 
 
 def _bipartite_certificate(graph: PatternGraph):
@@ -234,8 +251,8 @@ def colorability(N: int, r: int,
     A not-colorable verdict carries its witness: the forced edge
     (r = 1), an odd cycle (r = 2) or the exhausted DSATUR trace
     (r >= 3).  A colorable verdict carries the coloring, which is
-    checked against every edge first; a clash raises RuntimeError,
-    since it can only come from a fault in the search itself.
+    checked first; a color outside [0, r) or a clash on an edge raises
+    RuntimeError, since it can only come from a fault in the search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
@@ -259,15 +276,7 @@ def colorability(N: int, r: int,
         cert.verdict, assignment, cert.trace = _dsatur_decide(
             graph, r, node_budget)
     if cert.verdict == "colorable":
-        cert.coloring = _full_coloring(N, r, assignment)
-        cols = cert.coloring.colors
-        ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2) - 1
-        clash = np.flatnonzero(cols[ends[:, 0]] == cols[ends[:, 1]])
-        if clash.size:
-            u, v = graph.edges[clash[0]]
-            raise RuntimeError(
-                f"improper {r}-coloring of the N = {N} pattern graph: "
-                f"{u} and {v} share a color")
+        cert.coloring = _checked_coloring(graph, r, assignment)
     return cert
 
 
@@ -299,6 +308,9 @@ def sp_number(r: int, nmax: int | None = None,
     greedy coloring).  The certificate pair re-verifies: colorable at
     N* - 1, not-colorable at N*.  When the scan reaches nmax or runs out
     of its node or time budget, n_star is None and the note says which.
+    time_budget_s is checked only between values of N, never inside one
+    exact search, so a single colorability call can overrun the budget
+    by its whole length (stopping inside needs a deadline in the search).
     """
     if r < 1:
         raise DomainError("need r >= 1")

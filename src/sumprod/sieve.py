@@ -45,24 +45,6 @@ def _tables_for(R: float) -> MultiplicativeTables:
     return MultiplicativeTables.build(bound)
 
 
-def _inner_weights(R: float, tables: MultiplicativeTables) -> np.ndarray:
-    """w_d for d <= R with inner(n) = sum_{d | n} w_d.
-
-    Expanding sum_{q<=R} (mu(q)/phi(q)) c_q(n) through the Kluyver
-    identity gives weights w_d = sum_{q<=R, d|q} (mu(q)/phi(q)) mu(q/d) d.
-    """
-    Rq = int(math.floor(R))
-    mob, phi = tables.mobius, tables.phi
-    w = np.zeros(Rq + 1, dtype=np.float64)
-    for q in range(1, Rq + 1):
-        if mob[q] == 0:
-            continue
-        coeff = mob[q] / phi[q]
-        for d in divisors(q):
-            w[d] += coeff * mob[q // d] * d
-    return w
-
-
 def _normalizer(R: float, tables: MultiplicativeTables, variant: str) -> float:
     """sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for variant "mu"."""
     if variant not in ("mu_squared", "mu"):
@@ -78,18 +60,20 @@ def _normalizer(R: float, tables: MultiplicativeTables, variant: str) -> float:
 
 def selberg_majorant(X: int, R: float,
                      variant: str = "mu_squared") -> np.ndarray:
-    """Majorant values on [X, 2X): normalizer^-1 * (inner sum)^2."""
+    """Majorant values on [X, 2X): normalizer^-1 * (inner sum)^2.
+
+    The inner sum is sum_{q<=R} (mu(q)/phi(q)) c_q(n), one Ramanujan
+    series over the squarefree q <= R.
+    """
     tables = _tables_for(R)
     if X < 4:
         raise DomainError("X too small")
-    w = _inner_weights(R, tables)
     normalizer = _normalizer(R, tables, variant)
-    inner = np.zeros(X, dtype=np.float64)
-    for d in range(1, len(w)):
-        if w[d] == 0.0:
-            continue
-        first = -X % d  # offset of the first multiple of d in [X, 2X)
-        inner[first::d] += w[d]
+    mob, phi = tables.mobius, tables.phi
+    inner = _basis_sum_on_range(
+        [(q, mob[q] / phi[q])
+         for q in tables.squarefree_up_to(int(math.floor(R))).tolist()],
+        X, X)
     return inner ** 2 / normalizer
 
 
@@ -185,7 +169,12 @@ class BandDecomposition:
 
 
 def _basis_sum_on_range(c_items, X: int, length: int) -> np.ndarray:
-    """sum_q c_q * c_q(n) for n in [X, X + length) via divisor sieving."""
+    """sum_q c_q * c_q(n) for n in [X, X + length) via divisor sieving.
+
+    The Kluyver identity c_q(n) = sum_{d | gcd(n, q)} d mu(q/d) turns the
+    series into sum_{d | n} w_d with w_d = sum_{d | q} c_q mu(q/d) d; each
+    w_d is added along the multiples of d.
+    """
     out = np.zeros(length, dtype=np.float64)
     w: dict[int, float] = {}
     for q, cq in c_items:
@@ -194,7 +183,7 @@ def _basis_sum_on_range(c_items, X: int, length: int) -> np.ndarray:
             if mu:
                 w[d] = w.get(d, 0.0) + cq * mu * d
     for d, wd in w.items():
-        first = -X % d
+        first = -X % d  # offset of the first multiple of d in [X, X + len)
         out[first::d] += wd
     return out
 
@@ -286,22 +275,18 @@ class SieveReport:
 def _sup_fourier(g: np.ndarray, X: int, grid_points: int) -> float:
     """sup_theta |sum_x g(x) e(theta x)| estimated on a dense grid.
 
-    The grid has spacing 1/grid_points <= 1/(16 X); between grid points
-    the sum moves by at most pi * (2X) * spacing * sup|g| * X, which is
-    reported implicitly through the grid density choice.
+    The grid has spacing 1/grid_points <= 1/(16 X).  No bound on the
+    error between grid points is reported yet.
     """
     M = grid_points
     return float(np.max(_residue_spectrum(np.arange(X, 2 * X) % M, M, g)))
 
 
-def verify_sieve_bounds(dec: BandDecomposition,
-                        prime_flags: np.ndarray | None = None) -> SieveReport:
+def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
     """Numeric check of the majorant / decomposition bounds."""
     X, R, Q = dec.X, dec.R, dec.Q
     lam = dec.majorant
-    if prime_flags is None:
-        prime_flags = sieve_primes(2 * X).flags
-    pmask = prime_flags[X: 2 * X]
+    pmask = sieve_primes(2 * X).flags[X: 2 * X]
     on_primes = lam[pmask]
     floor_logR = float(on_primes.min()) / math.log(R)
     floor_logX = float(on_primes.min()) / math.log(X)

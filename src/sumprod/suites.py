@@ -172,12 +172,11 @@ def suite_names() -> list:
     return sorted(_DRAWERS)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, draws: int = 200,
-              ns=DEFAULT_NS) -> list:
+def run_suite(name: str, seed: int = DEFAULT_SEED, draws: int = 200) -> list:
     """Run one lemma suite; returns the list of DefectRecords.
 
-    Draws cycle through the configured N values; the projection suites
-    use their fixed desk N instead.
+    Draws cycle through the N values of DEFAULT_NS; the projection
+    suites use their fixed desk N instead.
     """
     if name not in _DRAWERS:
         raise DomainError(f"unknown suite {name!r}; choose from "
@@ -187,7 +186,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, draws: int = 200,
     fixed_n = _PROJ_N.get(name)
     records = []
     for i in range(draws):
-        N = fixed_n if fixed_n is not None else ns[i % len(ns)]
+        N = (fixed_n if fixed_n is not None
+             else DEFAULT_NS[i % len(DEFAULT_NS)])
         records.append(drawer(rng, N))
     return records
 

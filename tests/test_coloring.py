@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -132,16 +133,24 @@ class TestRichness:
             expected = harmonic(m) / hn if m else 0.0
             assert abs(row.sum() - expected) < 1e-12
 
-    def test_pair_statistic_vanishes_past_N(self, prime_table):
+    def test_pair_statistic_vanishes_past_N(self):
         rng = np.random.default_rng(9)
         N = 2000
         c = Coloring(N=N, r=2, colors=rng.integers(0, 2, N).astype(np.int64))
         cfg = RichnessConfig(V=2, imax=2, prime_windows=((5, 12), (12, 20)),
                              kmax=2)
-        rep = richness_scan(c, cfg, table=prime_table)
+        rep = richness_scan(c, cfg)
         for (b, bp, k, val) in rep.pair_stats:
             if bp > N:
                 assert val == 0.0
+
+    def test_report_bytes_pinned(self):
+        # sha256 recorded from the code before the density table went
+        # through _pair_statistic
+        rep = richness_scan(extremal_coloring(5),
+                            RichnessConfig(2, 2, ((5, 20), (20, 50)), 2))
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+            "77499faf054daceea46fa6bf6fec4eaea68f19fa3c35b80f34e4baf058359712")
 
     def test_pair_statistic_direct_oracle(self):
         rng = np.random.default_rng(10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sumprod.averages import SampledFunction
+from sumprod.diophantine import concat_hypothesis
 from sumprod.errors import DomainError, RangeError
 from sumprod.projections import (NormParams, almost_period_defect,
                                  maximal_eps, maximal_lower,
@@ -230,3 +231,35 @@ class TestContraction:
         defect = proj_check_defect(f, q, Hp, H, N)
         assert proj >= base - defect.lhs - 1e-12
         assert defect.lhs <= 4.0 * Hp / H
+
+
+class TestMeansPinned:
+    """repr of every mean that goes through averages._avg_of_values,
+    recorded from the code before the fold (one seeded disc function;
+    its modulus where the input must be nonnegative)."""
+
+    N = 1000
+    f = disc(2024, -400, 2400)
+    g = SampledFunction(f.lo, f.hi, np.abs(f.values))
+
+    @pytest.mark.parametrize("name, expected", [
+        ("u1log", "0.28910682629819473"),
+        ("u1", "0.2632801309922526"),
+        ("pythagoras", "0.039851456266930776"),
+        ("maximal", "(0.6057292362931513, 0.49888939090373474)"),
+        ("concat-log", "0.107775960908228"),
+        ("concat-uniform", "0.11020465066325703"),
+    ])
+    def test_repr(self, name, expected):
+        f, g, N = self.f, self.g, self.N
+        p = NormParams(N, 3, 8)
+        value = {
+            "u1log": lambda: u1log_norm(f, p),
+            "u1": lambda: u1_norm(f, p),
+            "pythagoras": lambda: pythagoras_defect(f, 3, 6, 8, 4, N).lhs,
+            "maximal": lambda: maximal_lower(g, g, 3, 8, N),
+            "concat-log": lambda: concat_hypothesis(f, N, [1, 2, 3], 5, "log"),
+            "concat-uniform":
+                lambda: concat_hypothesis(f, N, [1, 2, 3], 5, "uniform"),
+        }[name]()
+        assert repr(value) == expected

@@ -284,8 +284,9 @@ class TestCertificateSerialization:
 
 
 class TestColoringReverified:
-    """A colorable verdict is checked against every edge, whichever
-    route produced it: a faulty solver raises instead of certifying."""
+    """A colorable verdict is checked for its color range and against
+    every edge, whichever route produced it: a faulty solver raises
+    instead of certifying."""
 
     def test_improper_dsatur_coloring_raises(self, monkeypatch):
         monkeypatch.setattr(
@@ -300,6 +301,17 @@ class TestColoringReverified:
                             lambda g: ({v: 0 for v in g.vertices}, None))
         with pytest.raises(RuntimeError, match="improper 2-coloring"):
             colorability(12, 2)
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_color_out_of_range_raises(self, monkeypatch, bad):
+        # a search fault, not a configuration error (DomainError, exit 2)
+        monkeypatch.setattr(
+            search, "_dsatur_decide",
+            lambda g, r, budget: ("colorable",
+                                  {v: bad for v in g.vertices},
+                                  {"nodes": 0, "max_depth": 0}))
+        with pytest.raises(RuntimeError, match=r"outside \[0, 3\)"):
+            colorability(100, 3)
 
 
 def kernelize_deg2(adj):

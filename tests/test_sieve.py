@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -201,3 +202,23 @@ class TestVerifyBounds:
         rep = verify_sieve_bounds(dec)
         assert rep.h_mean_abs_times_Q == 0.0
         assert rep.band_sum_stat == 0.0
+
+
+class TestBytesPinned:
+    """sha256 of the majorant and decomposition bytes, recorded from the
+    code before the majorant went through _basis_sum_on_range."""
+
+    @pytest.mark.parametrize("R, variant, digest", [
+        ((10 ** 5) ** 0.25, "mu_squared",
+         "dc943f50923f09bc8fceb92fe89a47101224644fd67ea95d302d9676dac7f771"),
+        (10, "mu",
+         "c95f7fac3ee93eca5b67b7ec139c39f18a6c77900b343f04529e3f2fe23587a0"),
+    ])
+    def test_majorant(self, R, variant, digest):
+        lam = selberg_majorant(10 ** 5, R, variant=variant)
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == digest
+
+    def test_band_export(self):
+        dec = band_decompose(20000, 20000 ** 0.25, 6)
+        assert hashlib.sha256(dec.export_json().encode()).hexdigest() == (
+            "eab40d9b351dfb5d5a71db0a479cad29f02d61f7a25e0bcfce87ecde71d1463b")
