@@ -31,11 +31,12 @@ import numpy as np
 from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
-                        convergent_denominators)
+                        grid_convergents)
 from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
+_ROW_CHUNK = 2 ** 14  # rows built per tolist() batch
 
 
 @dataclass(frozen=True)
@@ -209,39 +210,74 @@ def _spectrum_on_grid(S: np.ndarray, M: int) -> np.ndarray:
     return _residue_spectrum(idx, M, np.ones(idx.size)) / len(S)
 
 
-def best_q_on_grid(j: int, M: int, cap: int) -> tuple[int, float]:
-    """Minimizer of ||q * j/M|| over q <= cap, exact on grid rationals.
+def best_q_on_grid(js, M: int, cap: int):
+    """Minimizer of ||q * j/M|| over q <= cap for every j of an array.
 
-    Walks the continued-fraction convergents of j/M in integer
-    arithmetic; the minimum over a denominator cap is always attained at
-    a convergent, so this equals the direct scan without the O(cap)
-    cost.  Ties go to the smaller q (records strictly improve along
-    convergents, so the first zero wins).
+    One array walk (grid_convergents) runs the continued-fraction
+    convergents of all the j/M at once in exact int64 arithmetic; the
+    minimum over a denominator cap is always attained at a convergent,
+    so this equals the direct scan without the O(cap) cost.  Starting
+    from q = 1, a convergent replaces the best only on a strict
+    improvement, so ties go to the smaller q.  Returns the (q, err)
+    arrays in the shape of js (numpy scalars for a scalar j).
     """
-    best_q, best_num = 1, min(j % M, M - j % M)
-    for q in convergent_denominators(j % M, M, cap):
-        r = (q * j) % M
-        e = min(r, M - r)
-        if e < best_num:
-            best_q, best_num = q, e
-    return best_q, best_num / M
+    js = np.asarray(js, dtype=np.int64)
+    j = js.ravel() % M
+    best_q, best_num = np.ones_like(j), np.minimum(j, M - j)
+    for idx, q, dist in grid_convergents(j, M, cap):
+        better = dist < best_num[idx]
+        best_q[idx[better]] = q[better]
+        best_num[idx[better]] = dist[better]
+    return (best_q.reshape(js.shape)[()],
+            (best_num / M).reshape(js.shape)[()])
 
 
-def _empirical_L_requirement(j: int, M: int, delta: float, Lp: float,
-                             D: float) -> float:
-    """Smallest L making some convergent q of j/M satisfy both bounds.
+def _rows_at(pos, theta, abs_sum, level, q, err, ok, vacuous) -> list:
+    """DiophRows at positions pos of the per-point arrays.
 
-    Exact integer continued-fraction arithmetic on the grid rational.
+    The fields are read in tolist() batches of _ROW_CHUNK, never one
+    numpy scalar at a time.
     """
-    base = math.log(Lp / delta)
-    best = math.inf
-    for q in convergent_denominators(j, M):
-        r = (q * j) % M
-        err = min(r, M - r) / M
-        need_q = math.log(q) / base if q > 1 else 0.0
-        need_e = math.log(err * D) / base if err * D > 1 else 0.0
-        best = min(best, max(need_q, need_e, 1.0))
-    return best
+    out = []
+    for lo in range(0, pos.size, _ROW_CHUNK):
+        p = pos[lo: lo + _ROW_CHUNK]
+        out += [DiophRow(t, a, level, qi, e, o, vacuous)
+                for t, a, qi, e, o in zip(theta[p].tolist(),
+                                          abs_sum[p].tolist(), q[p].tolist(),
+                                          err[p].tolist(), ok[p].tolist())]
+    return out
+
+
+def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
+                 checks: list) -> float:
+    """Smallest L at which every obligated j/M, j > 0, has a good q.
+
+    checks holds (delta, check level) for the non-vacuous levels.  At
+    level delta, with base = log(L'/delta), a convergent q of j/M with
+    error err needs L >= 1, L >= log(q)/base and L >= log(err D)/base,
+    that is L >= max(log K, base)/base with the key K = max(q, err D).
+    That bound is monotone in K, so the minimum over the convergents
+    and the maximum over the obligated j are taken on the float keys,
+    and math.log meets only each level's winning key.  The obligated
+    sets are nested, so one uncapped walk over the lowest level's j
+    serves every level.
+    """
+    if not checks:
+        return 0.0
+    js = np.flatnonzero(absvals >= min(c for _, c in checks))
+    js = js[js > 0]
+    keys = np.full(js.size, np.inf)
+    for idx, q, dist in grid_convergents(js, M):
+        keys[idx] = np.minimum(keys[idx], np.maximum(q, dist / M * params.D))
+    obligated = absvals[js]
+    emp_L = 0.0
+    for d, check in checks:
+        sel = obligated >= check
+        if sel.any():
+            base = math.log(params.Lp / d)
+            emp_L = max(emp_L,
+                        max(math.log(float(keys[sel].max())), base) / base)
+    return emp_L
 
 
 def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
@@ -250,6 +286,11 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
 
     grid_points is the number of grid points M over the full circle
     (theta = j/M); by conjugate symmetry only j <= M/2 is scanned.
+    Each non-vacuous level makes one array call of best_q_on_grid over
+    its obligated j; counts and worst margins are array reductions
+    (both margins are monotone in q and err), and DiophRows are built
+    only for the first ROW_SAMPLE_CAP points of a level and for every
+    failure.  The empirical L takes one more array walk (_empirical_L).
     """
     S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
     if S.size == 0:
@@ -279,44 +320,39 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
 
     absvals = _spectrum_on_grid(S, M)
     margin = math.pi * diam / M
-    rows, failures, summaries = [], [], []
-    emp_L = 0.0 if want_empirical_L else None
+    rows, failures, summaries, checks = [], [], [], []
     for d in levels:
         vac = params.vacuous(d)
         cap, thresh = caps[d], params.err_threshold(d)
         check_level = max(d - margin, 0.5 * d)
         js = np.flatnonzero(absvals >= check_level)
-        n_pass = n_fail = 0
-        worst_qm, worst_em = math.inf, math.inf
-        stored = 0
-        for j in js.tolist():
-            theta = j / M
-            if vac:
-                q, err, ok = 1, min(theta, 1.0 - theta), True
-            else:
-                q, err = best_q_on_grid(j, M, cap)
-                ok = err <= thresh
-            if ok:
-                n_pass += 1
-            else:
-                n_fail += 1
-            worst_qm = min(worst_qm, (cap - q) / cap)
-            worst_em = min(worst_em, (thresh - err) / thresh)
-            row = DiophRow(theta=theta, abs_sum=float(absvals[j]), level=d,
-                           q=q, err=float(err), passed=ok, vacuous=vac)
-            if not ok:
-                failures.append(row)
-            if not ok or stored < ROW_SAMPLE_CAP:
-                rows.append(row)
-                stored += 1
-            if want_empirical_L and j > 0 and not vac:
-                emp_L = max(emp_L, _empirical_L_requirement(
-                    j, M, d, params.Lp, params.D))
+        theta = js / M
+        if vac:
+            q, err = np.ones_like(js), np.minimum(theta, 1.0 - theta)
+        else:
+            q, err = best_q_on_grid(js, M, cap)
+            checks.append((d, check_level))
+        ok = err <= thresh  # always at vacuous levels: err <= 1/2 <= thresh
+        n_pass = int(np.count_nonzero(ok))
+        if js.size:
+            worst_qm = (cap - int(q.max())) / cap
+            worst_em = (thresh - float(err.max())) / thresh
+        else:
+            worst_qm = worst_em = math.inf
+        keep = ~ok
+        keep[:ROW_SAMPLE_CAP] = True
+        kept = _rows_at(np.flatnonzero(keep), theta, absvals[js], d, q, err,
+                        ok, vac)
+        rows += kept
+        failures += [row for row in kept if not row.passed]
         summaries.append(LevelSummary(
             level=d, q_cap=cap, err_threshold=thresh, vacuous=vac,
-            n_obligated=len(js), n_pass=n_pass, n_fail=n_fail,
-            worst_q_margin=worst_qm if js.size else math.inf,
-            worst_err_margin=worst_em if js.size else math.inf))
+            n_obligated=int(js.size), n_pass=n_pass,
+            n_fail=int(js.size) - n_pass, worst_q_margin=worst_qm,
+            worst_err_margin=worst_em))
+        del js, theta, q, err, ok, keep, kept
+    emp_L = (_empirical_L(absvals, M, params, checks)
+             if want_empirical_L else None)
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
                        grid_points=M, spacing=1.0 / M,
                        required_spacing=required_spacing, certified=certified,
@@ -462,38 +498,38 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
+    if m < 1:
+        raise DomainError("need m >= 1")
     if X > tables.limit:
         raise RangeError(f"X={X} exceeds table limit {tables.limit}")
     if grid_points > GRID_POINT_BUDGET:
         raise CapacityError(f"grid of {grid_points} exceeds budget")
     M = int(grid_points)
-    n = np.arange(1, X + 1, dtype=np.int64)
-    if m == 1:
-        residues = n % M
-    else:
-        residues = np.array([pow(int(v), m, M) for v in n.tolist()],
-                            dtype=np.int64)
+    # n^m mod M by square-and-multiply; every factor is below M <= 2^26,
+    # so each product stays below 2^52
+    base = np.arange(1, X + 1, dtype=np.int64) % M
+    residues = np.full(X, 1 % M, dtype=np.int64)
+    k = m
+    while k:
+        if k & 1:
+            residues = residues * base % M
+        base = base * base % M
+        k >>= 1
     absvals = _residue_spectrum(residues, M, tables.vonmangoldt[1: X + 1])
 
     cap = int(math.ceil(eps ** (-exponent)))
     thresh = eps ** (-exponent) * float(X) ** (-m)
     js = np.flatnonzero(absvals >= eps * X)
-    rows, failures = [], []
-    emp_E = 0.0
-    log_inv_eps = math.log(1.0 / eps)
-    for j in js.tolist():
-        theta = j / M
-        q, err = best_q_on_grid(j, M, cap)
-        ok = err <= thresh
-        need_q = math.log(q) / log_inv_eps if q > 1 else 0.0
-        scaled = err * float(X) ** m
-        need_e = math.log(scaled) / log_inv_eps if scaled > 1 else 0.0
-        emp_E = max(emp_E, need_q, need_e)
-        row = DiophRow(theta=theta, abs_sum=float(absvals[j]), level=eps,
-                       q=q, err=err, passed=ok)
-        rows.append(row)
-        if not ok:
-            failures.append(row)
+    q, err = best_q_on_grid(js, M, cap)
+    ok = err <= thresh
+    # E >= log(q)/log(1/eps) and E >= log(err X^m)/log(1/eps): monotone in
+    # the key max(q, err X^m), so the maximum is taken on the keys
+    keys = np.maximum(q, err * float(X) ** m)
+    emp_E = (math.log(float(keys.max())) / math.log(1.0 / eps)
+             if js.size else 0.0)
+    rows = _rows_at(np.arange(js.size), js / M, absvals[js], eps, q, err, ok,
+                    False)
+    failures = [row for row in rows if not row.passed]
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
                       rows=rows, failures=failures, empirical_E=emp_E,
                       all_pass=not failures)

@@ -28,11 +28,6 @@ class PrimeTable:
     limit: int
     flags: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise RangeError(f"n={n} outside table limit {self.limit}")
-        return bool(self.flags[n])
-
     def primes_array(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """Primes in [lo, hi) as an int64 array (internal fast path)."""
         if hi is None:
@@ -139,6 +134,36 @@ def convergent_denominators(a: int, b: int,
         qm2, qm1 = qm1, qi
         a, b = b, a % b
     return out
+
+
+def grid_convergents(js: np.ndarray, M: int, qmax: int | None = None):
+    """convergent_denominators(j, M, qmax) for every j of an int64 array.
+
+    The same recurrence, run elementwise over the grid rationals j/M
+    with 0 <= j < M.  Each step advances only the live elements and
+    yields (idx, q, dist): their positions in js, their next convergent
+    denominator q, and ||q j/M|| * M = min(q j mod M, M - q j mod M).
+    An element retires after the reduced denominator of j/M or before
+    its first q > qmax.  Every q is at most M, so M <= 2^26 keeps q * j
+    below 2^52 and the int64 arithmetic exact; a qmax above M is
+    clamped to M before it meets int64.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    cap = M if qmax is None else min(qmax, M)
+    idx, a = np.arange(js.size), js
+    b = np.full(js.size, M, dtype=np.int64)
+    qm2, qm1 = np.ones_like(a), np.zeros_like(a)  # q_{-2}, q_{-1}
+    while idx.size:
+        q = (a // b) * qm1 + qm2
+        if q.max() > cap:  # q never decreases along the walk: retire
+            keep = q <= cap
+            idx, a, b, qm1, q = (x[keep] for x in (idx, a, b, qm1, q))
+        r = q * js[idx] % M
+        yield idx, q, np.minimum(r, M - r)
+        a, b = b, a % b
+        qm2, qm1 = qm1, q
+        live = b != 0
+        idx, a, b, qm2, qm1 = (x[live] for x in (idx, a, b, qm2, qm1))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from sumprod.diophantine import (AlmostPrimeFamily, DiophParams,
                                  vino_verify, vonmangoldt_exp_sum,
                                  weyl_structure_scan)
 from sumprod.errors import CapacityError, DomainError
+from sumprod.numtheory import convergent_denominators
 
 
 class TestExpSum:
@@ -123,6 +125,95 @@ class TestBestQOnGrid:
             assert abs(err - ref.err) < 1e-12
             exact_ref = min(ref.q * j % M, M - ref.q * j % M) / M
             assert err <= exact_ref + 1e-18
+
+    def test_array_matches_reference_loop(self, grid_draws):
+        # the array walk against a per-j loop over the scalar walker
+        from sumprod.diophantine import best_q_on_grid
+        for js, M, cap in grid_draws:
+            cap = 2 * M if cap is None else cap  # an uncapped draw
+            q, err = best_q_on_grid(np.array(js), M, cap)
+            assert q.shape == err.shape == (len(js),)
+            for j, qj, ej in zip(js, q.tolist(), err.tolist()):
+                best_q, best_num = 1, min(j, M - j)
+                for c in convergent_denominators(j, M, cap):
+                    r = c * j % M
+                    if min(r, M - r) < best_num:
+                        best_q, best_num = c, min(r, M - r)
+                assert (qj, ej) == (best_q, best_num / M)
+
+
+LEVELS = [0.05, 0.1, 0.2, 0.4]
+WINDOWS = [(1000, 1080), (10000, 10400)]
+
+
+def almost_prime_round_trip(prime_table, j, grid_points):
+    """The probe at L = 1 with empirical L, then the verdict above it."""
+    fam = AlmostPrimeFamily.build(WINDOWS, j, prime_table)
+    D = float(fam.product_scale())
+    probe = dioph_verify(fam.elements, DiophParams(1, fam.k, D), LEVELS,
+                         grid_points=grid_points, want_empirical_L=True)
+    verdict = dioph_verify(
+        fam.elements, DiophParams(max(probe.empirical_L, 1.0) * 1.01,
+                                  fam.k, D), LEVELS, grid_points=grid_points)
+    return probe, verdict
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDiophPinned:
+    """Reports recorded from the per-point scalar loop, before the
+    obligation loop became array passes; every byte must stay."""
+
+    @pytest.mark.parametrize("j,probe_sha,verdict_sha", [
+        (1, "e70771abbb196da04f35352127ad0e149e0a03b70c2dae4234c3998d1c654eb9",
+         "89fe681510edbb3a37a824c3db8de027eb07bd5b040f63b39d949675b567c6cb"),
+        (2, "28edf6a2fd0794fb57879d0dac77a2c4fa2376b0fad66821ebed098818caea63",
+         "15fdfe251dc7089bb6494663a0fb27bfdade4b41bbc36f3d3409b002476bf1f5"),
+    ], ids=["j1", "j2"])
+    def test_round_trip_report_bytes(self, prime_table, j, probe_sha,
+                                     verdict_sha):
+        probe, verdict = almost_prime_round_trip(prime_table, j, 2 ** 16)
+        assert sha(probe.to_json()) == probe_sha
+        assert sha(verdict.to_json()) == verdict_sha
+
+    @pytest.mark.parametrize("j,empirical_L,summary", [
+        (1, "4.981368563894733", [
+            [0.4, 5, 5e-07, 0, 30, 2, 28, "0.0", "-333331.0617675782"],
+            [0.2, 10, 1e-06, 0, 7838, 6, 7832, "0.0", "-90908.00421142578"],
+            [0.1, 20, 2e-06, 0, 121728, 22, 121706, "0.0",
+             "-23808.432983398438"],
+            [0.05, 40, 4e-06, 0, 349458, 83, 349375, "0.0",
+             "-6096.555160522461"]]),
+        (2, "6.020599913279623", [
+            [0.4, 5, 5e-14, 0, 5, 3, 2, "0.2", "-2499999999999.0"],
+            [0.2, 10, 1e-13, 0, 2213, 5, 2208, "0.0", "-908288955687.4766"],
+            [0.1, 20, 2e-13, 0, 135309, 5, 135304, "0.0",
+             "-238094329832.98438"],
+            [0.05, 40, 4e-13, 0, 372765, 13, 372752, "0.0",
+             "-60975551604.22461"]]),
+    ], ids=["j1", "j2"])
+    def test_probe_empirical_L_and_summary(self, prime_table, j, empirical_L,
+                                           summary):
+        probe, verdict = almost_prime_round_trip(prime_table, j, 2 ** 20)
+        assert repr(probe.empirical_L) == empirical_L
+        assert probe.csv_summary_rows()[1:] == summary
+        assert verdict.all_pass
+
+    def test_q_cap_beyond_int64(self):
+        # (L'/delta)^L runs past 2^63 at every level, so the walk must
+        # clamp the cap to M; every point then reaches its reduced
+        # denominator and passes with err = 0
+        params = DiophParams(40, 8, 1e300)
+        assert params.q_cap(0.4) > 2 ** 63
+        rep = dioph_verify(np.arange(1, 101), params, LEVELS,
+                           grid_points=2 ** 16, want_empirical_L=True)
+        assert repr(rep.empirical_L) == "3.702051410556147"
+        assert sha(rep.to_json()) == \
+            "c4d123cb36eed09094bdf6c1c338f9aa0214f5a8f4c64598b0275b469cb4c58d"
+        assert [row[4:7] for row in rep.csv_summary_rows()[1:]] == \
+            [[446, 446, 0], [734, 734, 0], [1370, 1370, 0], [2963, 2963, 0]]
 
 
 class TestVino:
@@ -240,6 +331,20 @@ class TestVonMangoldt:
         for r in rep.rows[:10]:
             direct = vonmangoldt_exp_sum(tables_1e5, X, 2, r.theta)
             assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
+
+    def test_weyl_m3_spectrum_matches_direct(self, tables_1e5):
+        # n^3 mod M by square-and-multiply, on a grid that is not a
+        # power of two
+        X, M = 300, 5003
+        rep = weyl_structure_scan(tables_1e5, X, 3, 0.3, grid_points=M)
+        assert len(rep.rows) > 1
+        for r in rep.rows[:10]:
+            direct = vonmangoldt_exp_sum(tables_1e5, X, 3, r.theta)
+            assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
+
+    def test_weyl_rejects_m_below_one(self, tables_1e5):
+        with pytest.raises(DomainError):
+            weyl_structure_scan(tables_1e5, 100, 0, 0.2, grid_points=1024)
 
 
 class TestConcat:

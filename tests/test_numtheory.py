@@ -6,9 +6,9 @@ import pytest
 
 from sumprod.errors import DomainError, RangeError
 from sumprod.numtheory import (MultiplicativeTables, best_rational_approx,
-                               convergent_denominators, harmonic,
-                               mertens_sum, mobius, primes_in, ramanujan_sum,
-                               sieve_primes)
+                               convergent_denominators, grid_convergents,
+                               harmonic, mertens_sum, mobius, primes_in,
+                               ramanujan_sum, sieve_primes)
 
 
 def trial_primes(lo, hi):
@@ -210,6 +210,19 @@ class TestConvergentDenominators:
             for qmax in (-3, 0, 1, int(rng.integers(1, M + 1)), M, 2 * M):
                 assert convergent_denominators(j, M, qmax) == \
                     [q for q in full if q <= qmax]
+
+
+class TestGridConvergents:
+    def test_matches_scalar_walker(self, grid_draws):
+        for js, M, qmax in grid_draws:
+            walks = [[] for _ in js]
+            for idx, q, dist in grid_convergents(np.array(js), M, qmax):
+                for i, qi, di in zip(idx.tolist(), q.tolist(), dist.tolist()):
+                    r = qi * js[i] % M
+                    assert di == min(r, M - r)
+                    walks[i].append(qi)
+            for j, walk in zip(js, walks):
+                assert walk == convergent_denominators(j, M, qmax)
 
 
 class TestBestRationalApproxPinned:
