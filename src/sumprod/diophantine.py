@@ -155,8 +155,11 @@ class DiophReport:
     certified: bool
     levels: list
     rows: list
-    failures: list
     empirical_L: float | None = None
+
+    @property
+    def failures(self) -> list:
+        return [r for r in self.rows if not r.passed]
 
     @property
     def all_pass(self) -> bool:
@@ -248,6 +251,20 @@ def _rows_at(pos, theta, abs_sum, level, q, err, ok, vacuous) -> list:
     return out
 
 
+def _min_keys(js: np.ndarray, M: int, scale: float) -> np.ndarray:
+    """min over q >= 1 of max(q, ||q j/M|| * scale) for every j of js.
+
+    A q that is not a convergent of j/M loses to the last convergent
+    below it, which is no larger and approximates no worse, so one
+    uncapped walk over the convergents (ending at the reduced
+    denominator, where the distance is 0) finds the minimum.
+    """
+    keys = np.full(js.size, np.inf)
+    for idx, q, dist in grid_convergents(js, M):
+        keys[idx] = np.minimum(keys[idx], np.maximum(q, dist / M * scale))
+    return keys
+
+
 def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
                  checks: list) -> float:
     """Smallest L at which every obligated j/M, j > 0, has a good q.
@@ -257,18 +274,16 @@ def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
     error err needs L >= 1, L >= log(q)/base and L >= log(err D)/base,
     that is L >= max(log K, base)/base with the key K = max(q, err D).
     That bound is monotone in K, so the minimum over the convergents
-    and the maximum over the obligated j are taken on the float keys,
-    and math.log meets only each level's winning key.  The obligated
-    sets are nested, so one uncapped walk over the lowest level's j
+    (_min_keys) and the maximum over the obligated j are taken on the
+    float keys, and math.log meets only each level's winning key.  The
+    obligated sets are nested, so one walk over the lowest level's j
     serves every level.
     """
     if not checks:
         return 0.0
     js = np.flatnonzero(absvals >= min(c for _, c in checks))
     js = js[js > 0]
-    keys = np.full(js.size, np.inf)
-    for idx, q, dist in grid_convergents(js, M):
-        keys[idx] = np.minimum(keys[idx], np.maximum(q, dist / M * params.D))
+    keys = _min_keys(js, M, params.D)
     obligated = absvals[js]
     emp_L = 0.0
     for d, check in checks:
@@ -320,7 +335,7 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
 
     absvals = _spectrum_on_grid(S, M)
     margin = math.pi * diam / M
-    rows, failures, summaries, checks = [], [], [], []
+    rows, summaries, checks = [], [], []
     for d in levels:
         vac = params.vacuous(d)
         cap, thresh = caps[d], params.err_threshold(d)
@@ -341,23 +356,20 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             worst_qm = worst_em = math.inf
         keep = ~ok
         keep[:ROW_SAMPLE_CAP] = True
-        kept = _rows_at(np.flatnonzero(keep), theta, absvals[js], d, q, err,
-                        ok, vac)
-        rows += kept
-        failures += [row for row in kept if not row.passed]
+        rows += _rows_at(np.flatnonzero(keep), theta, absvals[js], d, q, err,
+                         ok, vac)
         summaries.append(LevelSummary(
             level=d, q_cap=cap, err_threshold=thresh, vacuous=vac,
             n_obligated=int(js.size), n_pass=n_pass,
             n_fail=int(js.size) - n_pass, worst_q_margin=worst_qm,
             worst_err_margin=worst_em))
-        del js, theta, q, err, ok, keep, kept
+        del js, theta, q, err, ok, keep
     emp_L = (_empirical_L(absvals, M, params, checks)
              if want_empirical_L else None)
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
                        grid_points=M, spacing=1.0 / M,
                        required_spacing=required_spacing, certified=certified,
-                       levels=summaries, rows=rows, failures=failures,
-                       empirical_L=emp_L)
+                       levels=summaries, rows=rows, empirical_L=emp_L)
 
 
 @dataclass(frozen=True)
@@ -472,9 +484,15 @@ class WeylReport:
     exponent: float
     grid_points: int
     rows: list
-    failures: list
     empirical_E: float
-    all_pass: bool
+
+    @property
+    def failures(self) -> list:
+        return [r for r in self.rows if not r.passed]
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> str:
         obj = {"X": self.X, "m": self.m, "eps": self.eps,
@@ -491,10 +509,12 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     """Scan theta for large von Mangoldt polynomial-phase sums.
 
     Wherever |sum_{n<=X} Lambda(n) e(n^m theta)| >= eps*X on the grid,
-    verify q <= eps^-E with ||q theta|| <= eps^-E * X^-m, and report the
-    empirical minimal E that would make every obligated point pass.
-    On the rational grid j/M the sum depends only on n^m mod M, so the
-    whole spectrum is one DFT of Lambda accumulated at those residues.
+    verify q <= eps^-E with ||q theta|| <= eps^-E * X^-m at E = exponent,
+    and report the empirical minimal E that would make every obligated
+    point pass.  That E is taken over all convergents of each j/M
+    (_min_keys, uncapped), so it does not depend on exponent.  On the
+    rational grid j/M the sum depends only on n^m mod M, so the whole
+    spectrum is one DFT of Lambda accumulated at those residues.
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
@@ -524,15 +544,12 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     ok = err <= thresh
     # E >= log(q)/log(1/eps) and E >= log(err X^m)/log(1/eps): monotone in
     # the key max(q, err X^m), so the maximum is taken on the keys
-    keys = np.maximum(q, err * float(X) ** m)
-    emp_E = (math.log(float(keys.max())) / math.log(1.0 / eps)
-             if js.size else 0.0)
+    emp_E = (math.log(float(_min_keys(js, M, float(X) ** m).max()))
+             / math.log(1.0 / eps) if js.size else 0.0)
     rows = _rows_at(np.arange(js.size), js / M, absvals[js], eps, q, err, ok,
                     False)
-    failures = [row for row in rows if not row.passed]
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
-                      rows=rows, failures=failures, empirical_E=emp_E,
-                      all_pass=not failures)
+                      rows=rows, empirical_E=emp_E)
 
 
 # -- concatenation-lemma statistics ------------------------------------

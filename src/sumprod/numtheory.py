@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -175,9 +176,6 @@ class RationalApprox:
     err: float
 
 
-_DIRECT_SCAN_MAX = 10 ** 6
-
-
 def _dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
@@ -185,25 +183,13 @@ def _dist_to_int(x: float) -> float:
 def best_rational_approx(theta: float, qmax: int) -> RationalApprox:
     """q <= qmax minimizing ||q*theta||_{R/Z}; ties broken by smallest q.
 
-    For qmax <= 1e6 a direct vectorized scan guarantees the true
-    minimizer; above that, continued-fraction convergents are used
-    (the minimizer over a denominator cap is always a convergent).
+    The minimizer of ||q*theta|| over a denominator cap is always a
+    continued-fraction convergent, so only the convergents of the exact
+    binary rational theta mod 1 are compared, for every qmax.
     """
     if qmax < 1:
         raise DomainError("qmax must be >= 1")
     theta = theta % 1.0
-    if qmax <= _DIRECT_SCAN_MAX:
-        qs = np.arange(1, qmax + 1, dtype=np.float64)
-        x = qs * theta
-        frac = x - np.floor(x)
-        err = np.minimum(frac, 1.0 - frac)
-        i = int(np.argmin(err))  # argmin takes first index: smallest q on ties
-        q = i + 1
-        return RationalApprox(q=q, a=round(q * theta), err=float(err[i]))
-    # Convergents of the exact binary rational theta.  The minimizer of
-    # ||q*theta|| over q <= qmax is always a convergent denominator.
-    from fractions import Fraction
-
     frac_theta = Fraction(theta)
     best_q, best_err = 1, _dist_to_int(theta)
     for q in convergent_denominators(frac_theta.numerator,
@@ -228,12 +214,11 @@ def harmonic(m: float) -> float:
 
 @dataclass
 class MultiplicativeTables:
-    """mu, phi, tau and von Mangoldt Lambda tabulated on [0, limit]."""
+    """mu, phi and von Mangoldt Lambda tabulated on [0, limit]."""
 
     limit: int
     mobius: np.ndarray
     phi: np.ndarray
-    tau: np.ndarray
     vonmangoldt: np.ndarray
 
     @classmethod
@@ -261,12 +246,7 @@ class MultiplicativeTables:
                 lam[pk] = logp
                 pk *= p
         mob[0] = 0
-
-        tau = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            tau[d::d] += 1
-        tau[0] = 0
-        return cls(limit=limit, mobius=mob, phi=phi, tau=tau, vonmangoldt=lam)
+        return cls(limit=limit, mobius=mob, phi=phi, vonmangoldt=lam)
 
     def squarefree_up_to(self, bound: int) -> np.ndarray:
         """Squarefree q in [1, bound] as an int64 array."""

@@ -36,13 +36,12 @@ DEFAULT_A = 4.0
 
 
 def _tables_for(R: float) -> MultiplicativeTables:
-    """Tables up to R^2 for a sieve level R, after checking R."""
+    """Tables up to floor(R), every modulus read, after checking R."""
     if R < 3:
         raise DomainError("degenerate sieve level: need R >= 3")
     if R * R > 10 ** 5:
         raise CapacityError("R^2 exceeds the desk budget 1e5")
-    bound = max(int(R * R) + 1, 16)
-    return MultiplicativeTables.build(bound)
+    return MultiplicativeTables.build(int(math.floor(R)))
 
 
 def _normalizer(R: float, tables: MultiplicativeTables, variant: str) -> float:
@@ -81,24 +80,19 @@ def selberg_majorant(X: int, R: float,
 class SieveCoefficients:
     """Ramanujan-basis coefficients: majorant(n) = sum_q c[q] * c_q(n)."""
 
-    R: float
     normalizer: float
-    variant: str
     c: dict
 
     def reconstruct_at(self, n: int) -> float:
         return math.fsum(v * ramanujan_sum(q, n) for q, v in self.c.items())
 
-    def to_json(self) -> str:
-        obj = {"R": self.R, "normalizer": self.normalizer,
-               "variant": self.variant,
-               "c": {str(q): repr(v) for q, v in sorted(self.c.items())}}
-        return json.dumps(obj, sort_keys=True, indent=1)
 
-
-def ramanujan_expand(X: int, R: float,
+def ramanujan_expand(R: float,
                      variant: str = "mu_squared") -> SieveCoefficients:
     """Exact symbolic expansion of the majorant in the Ramanujan basis.
+
+    The coefficients do not depend on X: the same series gives the
+    majorant on every window.
 
     For squarefree q1 = g*a, q2 = g*b with g = gcd, the product
     c_{q1} c_{q2} equals c_a c_b prod_{p | g} ((p-1) + (p-2) c_p), and
@@ -125,7 +119,7 @@ def ramanujan_expand(X: int, R: float,
                 key = ab * d
                 coeffs[key] = coeffs.get(key, 0.0) + w * factor
     c = {q: v / normalizer for q, v in coeffs.items() if abs(v) > 0.0}
-    return SieveCoefficients(R=R, normalizer=normalizer, variant=variant, c=c)
+    return SieveCoefficients(normalizer=normalizer, c=c)
 
 
 @dataclass
@@ -145,7 +139,6 @@ class BandDecomposition:
     lam_per: np.ndarray        # materialized on [X, 2X)
     band_index: list           # band labels i (i0 <= i <= i1)
     bands: list                # g_i arrays on [X, 2X)
-    gprime: list               # g'_i arrays on [X, 2X)
     h: np.ndarray
     f_bands: list = field(default_factory=list)  # unthresholded f_i
 
@@ -200,7 +193,7 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
                       "remainder bounds degrade", stacklevel=2)
     if not (0 < cexp < 1):
         raise DomainError("cexp must be in (0, 1)")
-    coeffs = ramanujan_expand(X, R, variant)
+    coeffs = ramanujan_expand(R, variant)
     majorant = selberg_majorant(X, R, variant)
     i0 = int(math.floor(math.log2(Q))) if Q > 1 else 0
     i1 = int(math.floor(A * math.log2(math.log(X))))
@@ -229,20 +222,17 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
         band_index.append(i)
         f_bands.append(_basis_sum_on_range(sel, X, X) if sel
                        else np.zeros(X, dtype=np.float64))
-    bands, gprime = [], []
+    bands, h = [], np.zeros(X, dtype=np.float64)
     for i, fi in zip(band_index, f_bands):
         thr = 2.0 ** (i * cexp / 2.0)
         keep = np.abs(fi) <= thr
         bands.append(np.where(keep, fi, 0.0))
-        gprime.append(np.where(keep, 0.0, fi))
-    h = np.zeros(X, dtype=np.float64)
-    for gp in gprime:
-        h += gp
+        h += np.where(keep, 0.0, fi)  # the above-threshold part g'_i
     return BandDecomposition(
         X=X, R=R, Q=Q, cexp=cexp, A=A, i0=i0, i1=i1, coeffs=coeffs,
         majorant=majorant, head_moduli=sorted(q for q, _ in head),
         period=period, lam_per_table=lam_per_table, lam_per=lam_per,
-        band_index=band_index, bands=bands, gprime=gprime, h=h,
+        band_index=band_index, bands=bands, h=h,
         f_bands=f_bands)
 
 

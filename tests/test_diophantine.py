@@ -342,6 +342,37 @@ class TestVonMangoldt:
             direct = vonmangoldt_exp_sum(tables_1e5, X, 3, r.theta)
             assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
 
+    @pytest.mark.parametrize("X,m,eps,M,E", [
+        (10 ** 4, 1, 0.2, 2 ** 18, 1.4307),
+        (300, 2, 0.5, 4096, 3.0),
+        (2000, 2, 0.5, 2 ** 16, 3.0),
+    ])
+    def test_weyl_empirical_E_is_exhaustive_minimum(self, tables_1e5, X, m,
+                                                    eps, M, E):
+        # the smallest E at which every obligated point has a good q is
+        # a minimum over all q, so the configured exponent cannot move it
+        reps = [weyl_structure_scan(tables_1e5, X, m, eps, exponent=ex,
+                                    grid_points=M) for ex in (1.4, 3.0, 6.0)]
+        assert len({rep.empirical_E for rep in reps}) == 1
+        # q = 1 has key at most X^m / 2, so no larger q can do better
+        scale = float(X) ** m
+        qs = np.arange(1, X ** m // 2 + 2, dtype=np.int64)
+        worst = 0.0
+        for row in reps[0].rows:
+            r = qs * round(row.theta * M) % M
+            keys = np.maximum(qs, np.minimum(r, M - r) / M * scale)
+            worst = max(worst, float(keys.min()))
+        ref = math.log(worst) / math.log(1.0 / eps)
+        assert reps[0].empirical_E == ref
+        assert round(ref, 4) == E
+
+    def test_weyl_default_report_bytes(self, tables_1e5):
+        # recorded from the scan whose empirical E came from the capped q
+        rep = weyl_structure_scan(tables_1e5, 10 ** 5, 1, 0.2,
+                                  grid_points=2 ** 22)
+        assert sha(rep.to_json()) == \
+            "28d693636e4d0bcfdf836200b98a5922dcff2681c0f45e788a348a396eda01ae"
+
     def test_weyl_rejects_m_below_one(self, tables_1e5):
         with pytest.raises(DomainError):
             weyl_structure_scan(tables_1e5, 100, 0, 0.2, grid_points=1024)

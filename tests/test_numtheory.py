@@ -168,6 +168,22 @@ class TestBestRationalApprox:
         assert r.q in fibs
         assert r.err < 1e-6
 
+    def test_reduced_fraction_gives_its_denominator(self):
+        # the float a/b lies within 2^-53 of a/b, far inside 1/(2 b^2),
+        # so b is a convergent of it and the next one is beyond 10^6:
+        # b is the best denominator.  At (15, 29, 100) the float 87 * a/b
+        # rounds to an integer, which must not make 87 win
+        rng = np.random.default_rng(20261018)
+        cases = [(15, 29, 100)]
+        while len(cases) < 1200:
+            qmax = int(10 ** rng.uniform(0.3, 6.0))
+            b = int(rng.integers(2, qmax + 1))
+            a = int(rng.integers(1, b))
+            if math.gcd(a, b) == 1:
+                cases.append((a, b, qmax))
+        for a, b, qmax in cases:
+            assert best_rational_approx(a / b, qmax).q == b, (a, b, qmax)
+
 
 def fraction_cf_denominators(a, b):
     """Denominators of the truncations [a0; a1, ..., ak] of a/b."""
@@ -294,11 +310,6 @@ class TestMultiplicativeTables:
                 fac.append(m)
             is_pp = len(set(fac)) == 1
             assert (lam[n] > 0) == is_pp
-
-    def test_tau(self, tables_1e5):
-        tau = tables_1e5.tau
-        for n in (1, 2, 6, 12, 36, 97, 1024):
-            assert tau[n] == sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 class TestBestRationalApproxWrapping:

@@ -70,7 +70,7 @@ class TestMajorant:
                 < 1e-9
 
     # every entry point checks the sieve level before any table is built
-    LEVEL_CHECKED = (selberg_majorant, ramanujan_expand,
+    LEVEL_CHECKED = (selberg_majorant, lambda X, R: ramanujan_expand(R),
                      lambda X, R: band_decompose(X, R, 6))
 
     def test_degenerate_level(self):
@@ -92,14 +92,14 @@ class TestMajorant:
 
 class TestRamanujanExpand:
     def test_support_R3(self):
-        coeffs = ramanujan_expand(10 ** 4, 3.0)
+        coeffs = ramanujan_expand(3.0)
         assert sorted(coeffs.c) == [1, 2, 3, 6]
 
     def test_linear_system_R3(self):
         # the four residue classes mod 6 with distinct gcd patterns give a
         # 4x4 system for (c_1, c_2, c_3, c_6)
         X, R = 10 ** 4, 3.0
-        coeffs = ramanujan_expand(X, R)
+        coeffs = ramanujan_expand(R)
         lam = selberg_majorant(X, R)
         ns = [12, 7, 8, 9]  # gcd with 6: 6, 1, 2, 3
         A = np.array([[ramanujan_sum(q, n) for q in (1, 2, 3, 6)]
@@ -113,7 +113,7 @@ class TestRamanujanExpand:
 
     def test_c1_is_period_mean(self):
         X, R = 10 ** 4, 3.0
-        coeffs = ramanujan_expand(X, R)
+        coeffs = ramanujan_expand(R)
         lam = selberg_majorant(X, R)
         # the majorant has period 6 at R = 3; all c_q with q > 1 average
         # to zero over a full period
@@ -122,7 +122,7 @@ class TestRamanujanExpand:
 
     def test_full_reconstruction(self):
         X, R = 10 ** 4, 10.0
-        coeffs = ramanujan_expand(X, R)
+        coeffs = ramanujan_expand(R)
         lam = selberg_majorant(X, R)
         rng = np.random.default_rng(11)
         for n in rng.integers(X, 2 * X, 50):
