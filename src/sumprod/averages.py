@@ -19,13 +19,83 @@ from .errors import DomainError, RangeError
 from .numtheory import harmonic
 
 
+# The exact kernel of cfsum.  frexp writes a finite double as m * 2^e with
+# e in [-1073, 1024]; below _EXACT_TOP = 2^997 it is e <= 997, so bin
+# e + _EXP_OFFSET lies in [0, _BINS).  Each m * 2^53 is an integer below
+# 2^53, split into a 27-bit high and a 26-bit low half, so a bin sums at
+# most _EXACT_MAX * 2^27 = 2^53 in magnitude and every float add is exact.
+# That bound also keeps the sum of |x| below 2^1023, where math.fsum
+# cannot overflow either.  Below _EXACT_MIN values the fixed cost of the
+# kernel loses to math.fsum.  It works through _CHUNK doubles at a time
+# (an even count, so real and imaginary parts keep their parity), which
+# keeps its temporaries in cache.
+_EXP_OFFSET = 1073
+_BINS = _EXP_OFFSET + 998
+_EXACT_TOP = 2.0 ** 997
+_EXACT_MIN = 1024
+_EXACT_MAX = 2 ** 26
+_CHUNK = 2 ** 16
+_UNIT = 2 ** (_EXP_OFFSET + 53)   # bin b holds integers times 2^b / _UNIT
+
+
+def _exact_totals(arr: np.ndarray) -> list | None:
+    """Exact sums of arr's real (and imaginary) part, in units of 1/_UNIT.
+
+    None when arr is not float64 or complex128, has fewer than
+    _EXACT_MIN or more than _EXACT_MAX values, or holds a value that is
+    not finite or not below _EXACT_TOP in magnitude.
+    """
+    cplx = arr.dtype == np.complex128
+    if not (cplx or arr.dtype == np.float64) or \
+            not _EXACT_MIN <= arr.size <= _EXACT_MAX:
+        return None
+    x = np.ascontiguousarray(arr).reshape(-1).view(np.float64)
+    nparts = 2 if cplx else 1
+    his = np.zeros(nparts * _BINS)
+    los = np.zeros(nparts * _BINS)
+    for start in range(0, x.size, _CHUNK):
+        chunk = x[start:start + _CHUNK]
+        # a nan makes min and max nan, which fails both tests
+        if not (-_EXACT_TOP < chunk.min() and chunk.max() < _EXACT_TOP):
+            return None
+        idx = np.empty(chunk.shape, dtype=np.intp)
+        m, _ = np.frexp(chunk, out=(None, idx))
+        m *= 2.0 ** 27
+        hi = np.trunc(m)     # the high half; m keeps the low half / 2^26
+        m -= hi
+        idx += _EXP_OFFSET
+        if cplx:
+            idx[1::2] += _BINS   # imaginary parts get their own bins
+        his += np.bincount(idx, hi, his.size)
+        los += np.bincount(idx, m, los.size)
+    los *= 2.0 ** 26
+    totals = []
+    for h, lo in zip(his.reshape(nparts, _BINS), los.reshape(nparts, _BINS)):
+        b = np.flatnonzero((h != 0) | (lo != 0))
+        total = 0
+        for k, hb, lb in zip(b.tolist(), h[b].tolist(), lo[b].tolist()):
+            total += ((int(hb) << 26) + int(lb)) << k
+        totals.append(total)
+    return totals
+
+
 def cfsum(values: np.ndarray) -> complex:
-    """Compensated complex sum (fsum on real and imaginary parts)."""
+    """Exactly rounded complex sum, equal to math.fsum on each part.
+
+    From _EXACT_MIN values up, each part is summed exactly in
+    per-exponent integer bins (np.bincount) and the Python int total is
+    divided by a power of two, which rounds correctly; a correctly
+    rounded sum is unique, so the bits are math.fsum's.  math.fsum
+    itself sums small inputs, other dtypes, inputs with an inf, a nan or
+    a value of magnitude 2^997 or more, more than 2^26 values, and any
+    part whose exact total is 0 (fsum's rule picks the zero's sign).
+    """
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        return complex(math.fsum(arr.real.tolist()),
-                       math.fsum(arr.imag.tolist()))
-    return complex(math.fsum(arr.tolist()), 0.0)
+    parts = [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    totals = _exact_totals(arr) or [0] * len(parts)
+    sums = [t / _UNIT if t else math.fsum(p.tolist())
+            for t, p in zip(totals, parts)]
+    return complex(sums[0], sums[1] if len(sums) > 1 else 0.0)
 
 
 def e_of(x) -> np.ndarray:
@@ -122,6 +192,17 @@ class SampledFunction:
         out[inside] = self.values[pos]
         return out
 
+    def progression(self, start: int, step: int, count: int) -> np.ndarray:
+        """Values at start + k*step for k < count.
+
+        Inside the window this is a strided view, not a copy; otherwise
+        it is at() on the indices, so out-of-window reads are 0, counted.
+        """
+        last = start + (count - 1) * step
+        if step >= 1 and count > 0 and self.covers(start, last):
+            return self.values[start - self.lo:last - self.lo + 1:step]
+        return self.at(start + step * np.arange(count, dtype=np.int64))
+
     def conj(self) -> "SampledFunction":
         return SampledFunction(self.lo, self.hi, np.conj(self.values),
                                bound=self.bound)
@@ -210,10 +291,9 @@ def shift_defect(f: SampledFunction, N: int, h: int,
         raise DomainError("need |h| < N")
     if mode == "log" and h == 0:
         raise DomainError("log-mode shift requires h != 0")
-    n = np.arange(1, N + 1, dtype=np.int64)
     oob0 = f.oob_events
-    base = _avg_of_values(f.at(n), N, mode)
-    shifted = _avg_of_values(f.at(n + h), N, mode)
+    base = _avg_of_values(f.progression(1, 1, N), N, mode)
+    shifted = _avg_of_values(f.progression(1 + h, 1, N), N, mode)
     lhs = abs(base - shifted)
     if mode == "log":
         bound = (1.0 + math.log(abs(h))) / math.log(N)
@@ -227,13 +307,12 @@ def residue_split_defect(f: SampledFunction, N: int, q: int) -> DefectRecord:
     """Residue-class splitting defect of the logarithmic average."""
     if q < 1:
         raise DomainError("q must be >= 1")
-    n = np.arange(1, N + 1, dtype=np.int64)
     oob0 = f.oob_events
     acc = np.zeros(N, dtype=np.complex128)
     for a in range(q):
-        acc += f.at(q * n + a)
+        acc += f.progression(q + a, q, N)
     split = _avg_of_values(acc / q, N, "log")
-    lhs = abs(split - _avg_of_values(f.at(n), N, "log"))
+    lhs = abs(split - _avg_of_values(f.progression(1, 1, N), N, "log"))
     bound = (1.0 + math.log(q)) / math.log(N)
     return DefectRecord("residue-split", lhs, bound, params={
         "q": q, "N": N, "oob": f.oob_events - oob0})
@@ -246,13 +325,12 @@ def frobenius_defect(f: SampledFunction, N: int, q: int, b: int,
         raise DomainError("q, b, H must be positive")
     if math.gcd(q, b) != 1:
         raise DomainError("q and b must be coprime")
-    n = np.arange(1, N + 1, dtype=np.int64)
     oob0 = f.oob_events
     acc = np.zeros(N, dtype=np.complex128)
     for h in range(1, H + 1):
-        acc += f.at(q * n + b * h)
+        acc += f.progression(q + b * h, q, N)
     lhs = abs(_avg_of_values(acc / H, N, "log")
-              - _avg_of_values(f.at(n), N, "log"))
+              - _avg_of_values(f.progression(1, 1, N), N, "log"))
     bound = (1.0 + math.log(q) + math.log(b * H)) / math.log(N) + q / H
     return DefectRecord("frobenius", lhs, bound, params={
         "q": q, "b": b, "H": H, "N": N, "oob": f.oob_events - oob0})
@@ -286,13 +364,13 @@ def elliott_defect(f: SampledFunction, N: int, primes,
         P = primes[-1]
     if primes[-1] > P or P > N:
         raise DomainError("need all primes <= P <= N")
-    n = np.arange(1, N + 1, dtype=np.int64)
     oob0 = f.oob_events
     inv_p = [1.0 / p for p in primes]
     sum_invp = math.fsum(inv_p)
-    per_prime = [_avg_of_values(f.at(p * n), N, "log") for p in primes]
+    per_prime = [_avg_of_values(f.progression(p, p, N), N, "log")
+                 for p in primes]
     dilated = sum(ap * ip for ap, ip in zip(per_prime, inv_p)) / sum_invp
-    lhs = abs(_avg_of_values(f.at(n), N, "log") - dilated)
+    lhs = abs(_avg_of_values(f.progression(1, 1, N), N, "log") - dilated)
     bound = math.log(P) / math.log(N) + sum_invp ** -0.5
     return DefectRecord("elliott", lhs, bound, params={
         "P": P, "N": N, "nprimes": len(primes), "sum_invp": sum_invp,

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .averages import cfsum
 from .errors import CapacityError, DomainError
 from .numtheory import harmonic, sieve_primes
 
@@ -260,7 +261,7 @@ def _pair_statistic(cols: np.ndarray, color: int, b: int, bp: int,
             continue
         n = np.arange(1, m + 1, dtype=np.int64)
         mask = (cols[b * n - 1] == color) & (cols[bp * prod * n - 1] == color)
-        total += weight * math.fsum((1.0 / n[mask]).tolist()) / hn
+        total += weight * cfsum(1.0 / n[mask]).real / hn
     return total
 
 

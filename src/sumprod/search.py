@@ -157,7 +157,8 @@ def verify_odd_cycle(cycle: list, graph: PatternGraph) -> bool:
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
+def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
+                   deadline: float | None):
     """Exists a proper r-coloring?  (verdict, assignment, trace).
 
     DSATUR order: most distinct neighbour colors, then highest degree,
@@ -171,6 +172,8 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
     per-vertex color masks, stored by color).  The backtracking runs
     on an explicit stack of (vertex, color, used, touched) frames,
     touched being the neighbours that color moved up one level.
+    Past the time.monotonic() deadline, checked every 1024 nodes, the
+    verdict is "indeterminate", as when the node budget runs out.
     """
     verts = graph.vertices
     if not verts:
@@ -196,7 +199,9 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
         if not uncolored:
             verdict = "colorable"
             break
-        if nodes >= node_budget:
+        if nodes >= node_budget or (
+                deadline is not None and not nodes & 1023
+                and time.monotonic() > deadline):
             verdict = "indeterminate"
             break
         s = r
@@ -244,8 +249,8 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int):
     return verdict, {order[i]: c for i, c, _, _ in stack}, trace
 
 
-def colorability(N: int, r: int,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> SearchCertificate:
+def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                 deadline: float | None = None) -> SearchCertificate:
     """Decision + certificate for one (N, r).
 
     A not-colorable verdict carries its witness: the forced edge
@@ -253,6 +258,8 @@ def colorability(N: int, r: int,
     (r >= 3).  A colorable verdict carries the coloring, which is
     checked first; a color outside [0, r) or a clash on an edge raises
     RuntimeError, since it can only come from a fault in the search.
+    The r >= 3 search gives up as "indeterminate" past the
+    time.monotonic() deadline, if one is given.
     """
     if r < 1:
         raise DomainError("need r >= 1")
@@ -274,7 +281,7 @@ def colorability(N: int, r: int,
             assignment = side
     else:
         cert.verdict, assignment, cert.trace = _dsatur_decide(
-            graph, r, node_budget)
+            graph, r, node_budget, deadline)
     if cert.verdict == "colorable":
         cert.coloring = _checked_coloring(graph, r, assignment)
     return cert
@@ -308,19 +315,19 @@ def sp_number(r: int, nmax: int | None = None,
     greedy coloring).  The certificate pair re-verifies: colorable at
     N* - 1, not-colorable at N*.  When the scan reaches nmax or runs out
     of its node or time budget, n_star is None and the note says which.
-    time_budget_s is checked only between values of N, never inside one
-    exact search, so a single colorability call can overrun the budget
-    by its whole length (stopping inside needs a deadline in the search).
+    The time budget is checked between values of N and, as a deadline,
+    inside every exact search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
     if nmax is None:
         nmax = {1: 100, 2: 10_000}.get(r, 1_000_000)
-    t0 = time.monotonic()
+    deadline = (None if time_budget_s is None
+                else time.monotonic() + time_budget_s)
     assignment: dict[int, int] = {}
     adj: dict[int, set] = {}
     for N in range(12, nmax + 1):
-        if time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
+        if deadline is not None and time.monotonic() > deadline:
             return ThresholdResult(r, None, None, None, N,
                                    "time budget exhausted")
         new_edges = _edges_with_product(N)
@@ -341,13 +348,17 @@ def sp_number(r: int, nmax: int | None = None,
                 stuck = True
         if not stuck:
             continue
-        cert = colorability(N, r, node_budget=node_budget)
+        cert = colorability(N, r, node_budget, deadline)
+        if cert.verdict == "not-colorable":
+            below = colorability(N - 1, r, node_budget, deadline)
+            if below.verdict != "indeterminate":
+                return ThresholdResult(r, N, below, cert)
+            cert = below
         if cert.verdict == "indeterminate":
             return ThresholdResult(r, None, None, None, N,
-                                   "node budget exhausted")
-        if cert.verdict == "not-colorable":
-            below = colorability(N - 1, r, node_budget=node_budget)
-            return ThresholdResult(r, N, below, cert)
+                                   "node budget exhausted"
+                                   if cert.trace["nodes"] >= node_budget
+                                   else "time budget exhausted")
         assignment = {v: cert.coloring.color_of(v) for v in adj}
     return ThresholdResult(r, None, None, None, nmax,
                            f"{r}-colorable for all N <= nmax")

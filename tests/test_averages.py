@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sumprod.averages import (SampledFunction, difference, dilate_defect,
-                              elliott_defect, frobenius_defect, log_avg,
-                              residue_split_defect, shift_defect, uniform_avg)
+from sumprod import averages
+from sumprod.averages import (SampledFunction, cfsum, difference,
+                              dilate_defect, elliott_defect, frobenius_defect,
+                              log_avg, residue_split_defect, shift_defect,
+                              uniform_avg)
 from sumprod.errors import DomainError, RangeError
 from sumprod.numtheory import harmonic
 
@@ -24,6 +28,25 @@ class TestSampledFunction:
         vals = f.at(np.array([0, 5, 11, 200]))
         assert f.oob_events == 3
         assert vals.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("start, step, count", [
+        (1, 1, 50), (3, 7, 7), (50, 1, 1),            # inside
+        (0, 1, 10), (45, 2, 5), (-6, 5, 12),          # partly outside
+        (1, 1, 51), (47, 4, 2),                       # one past the end
+        (51, 1, 4), (-30, 3, 5), (1, 1, 0)])          # outside or empty
+    def test_progression_matches_at(self, start, step, count):
+        f, g = disc(9, 1, 50), disc(9, 1, 50)
+        got = f.progression(start, step, count)
+        want = g.at(start + step * np.arange(count, dtype=np.int64))
+        assert got.tolist() == want.tolist()
+        assert f.oob_events == g.oob_events
+
+    def test_progression_inside_is_a_view(self):
+        f = disc(9, -5, 50)
+        view = f.progression(-4, 6, 9)
+        assert np.shares_memory(view, f.values)
+        assert view.tolist() == f.values[1:50:6].tolist()
+        assert f.oob_events == 0
 
     def test_difference_operator(self):
         f = disc(7, 1, 50)
@@ -233,3 +256,83 @@ class TestModeValidation:
         f = SampledFunction.constant(1.0, 1, 100)
         with pytest.raises(DomainError):
             shift_defect(f, 50, 3, "bogus")
+
+
+def _fsum_or_error(x):
+    """complex(fsum(real), fsum(imag)) by float.hex, or the error type."""
+    try:
+        re = math.fsum(np.real(x).tolist())
+        im = math.fsum(np.imag(x).tolist()) if np.iscomplexobj(x) else 0.0
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return re.hex(), im.hex()
+
+
+def _cfsum_or_error(x):
+    try:
+        got = cfsum(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return got.real.hex(), got.imag.hex()
+
+
+class TestCfsum:
+    """cfsum gives math.fsum's bits on each part, by either path."""
+
+    SIZES = [0, 1, 10, averages._EXACT_MIN - 1, averages._EXACT_MIN,
+             averages._EXACT_MIN + 1, 3000, averages._CHUNK + 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from(SIZES),
+           lo=st.floats(-1063.0, 996.0), span=st.floats(0.0, 2060.0),
+           complex_=st.booleans(), stride=st.integers(1, 3),
+           cancel=st.booleans(), special=st.sampled_from(
+               [None, math.inf, -math.inf, math.nan, "both-infs"]))
+    def test_equals_fsum(self, seed, size, lo, span, complex_, stride,
+                         cancel, special):
+        # magnitudes 2^lo .. 2^(lo + span) inside [1e-320, 1e300], signs
+        # mixed; cancel appends the negatives, so the exact total is 0
+        rng = np.random.default_rng(seed)
+        hi = min(lo + span, 996.0)
+        n = size * stride * (2 if complex_ else 1)
+        x = (rng.choice([-1.0, 1.0], n) * rng.random(n)
+             * np.exp2(rng.uniform(lo, hi, n)))
+        if cancel:
+            x = np.concatenate([x, -x])[rng.permutation(2 * n)]
+        if special is not None and x.size:
+            x[rng.integers(x.size)] = (math.inf if special == "both-infs"
+                                       else special)
+            if special == "both-infs":
+                x[0] = -math.inf
+        if complex_:
+            x = x.view(np.complex128)
+        x = x[::stride]
+        assert _cfsum_or_error(x) == _fsum_or_error(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1000, 1500),
+                      elements=st.floats(width=64)))
+    def test_equals_fsum_on_any_doubles(self, x):
+        # every double: subnormals, +-0.0, huge values, inf and nan
+        assert _cfsum_or_error(x) == _fsum_or_error(x)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    @pytest.mark.parametrize("size", [10, 5000])
+    def test_signed_zero(self, value, size):
+        x = np.full(size, value)
+        assert _cfsum_or_error(x) == _fsum_or_error(x)
+        assert _cfsum_or_error(x + 1j * x) == _fsum_or_error(x + 1j * x)
+
+    def test_intermediate_overflow_raises_as_in_fsum(self):
+        # 1.5e308 + 1.5e308 overflows inside fsum although the total fits
+        x = np.zeros(2 * averages._EXACT_MIN)
+        x[:3] = [1.5e308, 1.5e308, -1.5e308]
+        assert _fsum_or_error(x) is OverflowError
+        assert _cfsum_or_error(x) is OverflowError
+
+    def test_exact_path_is_taken_above_the_crossover(self):
+        x = np.full(averages._EXACT_MIN, 0.1)
+        assert averages._exact_totals(x) is not None
+        assert averages._exact_totals(x[1:]) is None
+        x[3] = math.nan
+        assert averages._exact_totals(x) is None

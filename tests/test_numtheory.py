@@ -158,7 +158,7 @@ class TestBestRationalApprox:
             assert r.q == best_q and r.err == best_e
 
     def test_cf_path_golden(self):
-        # beyond the scan cutoff the convergent path must pick the last
+        # at a cap of 2 * 10^6 the convergent walk must pick the last
         # Fibonacci denominator under the cap
         phi = (math.sqrt(5) - 1) / 2
         r = best_rational_approx(phi, 2 * 10 ** 6)
@@ -251,8 +251,8 @@ class TestBestRationalApproxPinned:
         (0.3333333333, 10 ** 7, 3, 1),
     ])
     def test_convergent_path_values(self, theta, qmax, q, a):
-        # qmax above the direct-scan cutoff: pinned results of the
-        # convergent path
+        # large qmax: pinned results of the convergent walk, the one path
+        # for every qmax
         r = best_rational_approx(theta, qmax)
         assert (r.q, r.a) == (q, a)
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,20 @@ class TestSpNumber:
         else:
             assert res.note
 
+    def test_time_budget_stops_inside_the_774_search(self):
+        # the unbudgeted scan takes about 1 s, most of it refuting 774
+        t0 = time.monotonic()
+        res = sp_number(3, nmax=800, time_budget_s=0.4)
+        elapsed = time.monotonic() - t0
+        assert res.n_star is None and res.note == "time budget exhausted"
+        assert res.exhausted_at <= 774
+        assert elapsed < 0.7
+
+    def test_past_deadline_is_indeterminate_at_once(self):
+        cert = colorability(774, 3, deadline=time.monotonic() - 1.0)
+        assert cert.verdict == "indeterminate"
+        assert cert.trace == {"nodes": 0, "max_depth": 0}
+
     def test_exhaustion_note(self):
         res = sp_number(2, nmax=40)
         assert res.n_star is None
@@ -291,8 +306,9 @@ class TestColoringReverified:
     def test_improper_dsatur_coloring_raises(self, monkeypatch):
         monkeypatch.setattr(
             search, "_dsatur_decide",
-            lambda g, r, budget: ("colorable", {v: 0 for v in g.vertices},
-                                  {"nodes": 0, "max_depth": 0}))
+            lambda g, r, budget, deadline: (
+                "colorable", {v: 0 for v in g.vertices},
+                {"nodes": 0, "max_depth": 0}))
         with pytest.raises(RuntimeError, match="improper 3-coloring"):
             colorability(100, 3)
 
@@ -307,9 +323,9 @@ class TestColoringReverified:
         # a search fault, not a configuration error (DomainError, exit 2)
         monkeypatch.setattr(
             search, "_dsatur_decide",
-            lambda g, r, budget: ("colorable",
-                                  {v: bad for v in g.vertices},
-                                  {"nodes": 0, "max_depth": 0}))
+            lambda g, r, budget, deadline: (
+                "colorable", {v: bad for v in g.vertices},
+                {"nodes": 0, "max_depth": 0}))
         with pytest.raises(RuntimeError, match=r"outside \[0, 3\)"):
             colorability(100, 3)
 
