@@ -217,8 +217,7 @@ def difference(f: SampledFunction, h: int, hp: int) -> SampledFunction:
     hi = f.hi - max(h, hp)
     if hi < lo:
         raise RangeError("window too small for the requested shifts")
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = f.values[(n + h) - f.lo] * np.conj(f.values[(n + hp) - f.lo])
+    vals = f.slice(lo + h, hi + h) * np.conj(f.slice(lo + hp, hi + hp))
     return SampledFunction(lo, hi, vals, bound=f.bound * f.bound)
 
 

@@ -6,8 +6,8 @@ summary.  Outputs carry no timestamps and use sorted JSON keys, so a
 fixed config and seed reproduce byte-identical files.
 
 Exit codes: 0 success, 1 an asserted bound failed, 2 configuration
-error, 3 capacity/budget error, 4 search budget exhausted
-(indeterminate).  Config precedence is CLI flags > config file >
+error, 3 capacity/budget error or out of memory, 4 search budget
+exhausted (indeterminate).  Config precedence is CLI flags > config file >
 defaults; the resolved values are logged in the artifact header.
 """
 
@@ -422,8 +422,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_CAPACITY
     except (DomainError, RangeError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -48,15 +48,10 @@ class Coloring:
         return int(self.colors[n - 1])
 
     def to_rle_json(self) -> str:
-        runs = []
-        i = 0
-        cols = self.colors
-        while i < self.N:
-            j = i
-            while j + 1 < self.N and cols[j + 1] == cols[i]:
-                j += 1
-            runs.append([int(cols[i]), j - i + 1])
-            i = j + 1
+        starts = np.flatnonzero(np.diff(self.colors, prepend=-1))
+        lengths = np.diff(starts, append=self.N)
+        runs = [[c, n] for c, n in zip(self.colors[starts].tolist(),
+                                       lengths.tolist())]
         return json.dumps({"N": self.N, "r": self.r, "runs": runs},
                           sort_keys=True)
 
@@ -114,17 +109,12 @@ def find_monochromatic(c: Coloring):
     cols = c.colors
     y = 3
     while y * (y + 1) <= N:
-        xmax = N // y
-        if xmax >= y + 1:
-            x = np.arange(y + 1, xmax + 1, dtype=np.int64)
-            sums = x + y
-            prods = x * y
-            hit = cols[sums - 1] == cols[prods - 1]
-            if hit.any():
-                i = int(np.argmax(hit))
-                xi = int(x[i])
-                return PatternWitness(x=xi, y=y, color=int(cols[xi + y - 1]),
-                                      sum=xi + y, prod=xi * y)
+        x = np.arange(y + 1, N // y + 1, dtype=np.int64)  # nonempty
+        hit = cols[x + y - 1] == cols[x * y - 1]
+        if hit.any():
+            xi = int(x[np.argmax(hit)])
+            return PatternWitness(x=xi, y=y, color=int(cols[xi + y - 1]),
+                                  sum=xi + y, prod=xi * y)
         y += 1
     return None
 

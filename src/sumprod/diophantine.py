@@ -31,7 +31,7 @@ import numpy as np
 from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
-                        grid_convergents)
+                        convergent_denominators, grid_convergents)
 from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
@@ -137,8 +137,20 @@ class LevelSummary:
     worst_err_margin: float
 
 
+class _RowReport:
+    """The failures and verdict of a scan report, read off its rows."""
+
+    @property
+    def failures(self) -> list:
+        return [r for r in self.rows if not r.passed]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.passed for r in self.rows)
+
+
 @dataclass
-class DiophReport:
+class DiophReport(_RowReport):
     """Scan outcome: per-level summaries plus row-level evidence.
 
     Every failure is stored; passing rows are sampled (first 512 per
@@ -156,14 +168,6 @@ class DiophReport:
     levels: list
     rows: list
     empirical_L: float | None = None
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.passed]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
 
     def to_json(self) -> str:
         obj = {
@@ -315,9 +319,9 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
         raise DomainError("delta levels must lie in (0, 1)")
     if grid_points < 16:
         raise DomainError("grid too small")
+    diam = int(S.max() - S.min())
     if grid_points > GRID_POINT_BUDGET:
         smallest = levels[-1]
-        diam = int(S.max() - S.min())
         suggested = params.Lp * (8.0 * max(diam, 1) / GRID_POINT_BUDGET) ** (
             1.0 / params.L)
         raise CapacityError(
@@ -325,7 +329,6 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             f"{GRID_POINT_BUDGET}; at delta floor {smallest} try a floor "
             f">= {suggested:.4g}")
 
-    diam = int(S.max() - S.min())
     M = int(grid_points)
     caps = {d: params.q_cap(d) for d in levels}
     nonvac = [d for d in levels if not params.vacuous(d)]
@@ -388,6 +391,10 @@ def vino_verify(alpha: float, T: int, delta1: float,
     (with delta2 >= 32 delta1 and T >= 16/delta2), some q <= 16/delta2
     must satisfy ||alpha q|| <= delta1/(delta2 T).  A missing q is an
     implementation alarm, never expected.
+
+    The smallest such q beats every smaller denominator, so it is a
+    continued-fraction convergent of alpha (Lagrange); only the
+    convergents of the exact binary rational alpha mod 1 are tried.
     """
     if delta1 <= 0 or delta2 <= 0 or delta2 < 32 * delta1:
         raise DomainError("need 0 < 32*delta1 <= delta2")
@@ -403,7 +410,9 @@ def vino_verify(alpha: float, T: int, delta1: float,
         return VinoResult(False, count, None, False)
     qmax = int(math.floor(16 / delta2))
     thresh = delta1 / (delta2 * T)
-    for q in range(1, qmax + 1):
+    exact = Fraction(alpha)
+    for q in convergent_denominators(exact.numerator % exact.denominator,
+                                     exact.denominator, qmax):
         if _dist_to_int(alpha * q) <= thresh:
             return VinoResult(True, count, q, False)
     return VinoResult(True, count, None, True)
@@ -477,7 +486,7 @@ def vonmangoldt_exp_sum(tables: MultiplicativeTables, X: int, m: int,
 
 
 @dataclass
-class WeylReport:
+class WeylReport(_RowReport):
     X: int
     m: int
     eps: float
@@ -485,14 +494,6 @@ class WeylReport:
     grid_points: int
     rows: list
     empirical_E: float
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.passed]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
 
     def to_json(self) -> str:
         obj = {"X": self.X, "m": self.m, "eps": self.eps,
@@ -569,12 +570,11 @@ def concat_hypothesis(f: SampledFunction, N: int, S, T: int,
     lo_need = 1 + T * min(0, int(S.min()))
     hi_need = N + T * max(0, int(S.max()))
     f.require_cover(lo_need, hi_need, "concat_hypothesis")
-    n = np.arange(1, N + 1, dtype=np.int64)
     per_n = np.zeros(N, dtype=np.float64)
     for s in S.tolist():
         acc = np.zeros(N, dtype=np.complex128)
         for t in range(1, T + 1):
-            acc += f.values[(n + t * s) - f.lo]
+            acc += f.slice(1 + t * s, N + t * s)
         per_n += np.abs(acc / T) ** 2
     per_n /= S.size
     return _avg_of_values(per_n, N, mode).real

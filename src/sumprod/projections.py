@@ -44,10 +44,7 @@ def _window_means(f: SampledFunction, N: int, q: int, H: int) -> np.ndarray:
     for c in range(q):
         seq = V[c::q]  # seq[j] = f(1 + c + j*q)
         cs = np.concatenate(([0.0 + 0.0j], np.cumsum(seq)))
-        count = (N - 1 - c) // q + 1 if c < N else 0
-        if count <= 0:
-            continue
-        j = np.arange(count)
+        j = np.arange(len(A[c::q]))  # empty when the class has no output
         A[c::q] = (cs[j + 1 + H] - cs[j + 1]) / H
     return A
 
@@ -89,10 +86,8 @@ def project(f: SampledFunction, q: int, H: int) -> SampledFunction:
         seq = f.values[c::q]
         if len(seq) < 2 * H - 1:
             continue
-        conv = np.convolve(seq, kernel, mode="valid")
-        # first valid output sits at f.lo + c + reach
-        start = (f.lo + c + reach) - lo
-        out[start::q] = conv
+        # the first valid output sits at f.lo + c + reach = lo + c
+        out[c::q] = np.convolve(seq, kernel, mode="valid")
     return SampledFunction(lo, hi, out, bound=f.bound)
 
 

@@ -44,14 +44,15 @@ def _tables_for(R: float) -> MultiplicativeTables:
     return MultiplicativeTables.build(int(math.floor(R)))
 
 
-def _normalizer(R: float, tables: MultiplicativeTables, variant: str) -> float:
-    """sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for variant "mu"."""
+def _normalizer(tables: MultiplicativeTables, variant: str) -> float:
+    """sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for variant "mu",
+    over the tables, which end at floor(R) (_tables_for)."""
     if variant not in ("mu_squared", "mu"):
         raise DomainError(f"unknown variant {variant!r}")
     mob, phi = tables.mobius, tables.phi
     normalizer = math.fsum(
         (mob[q] if variant == "mu" else 1.0) / phi[q]
-        for q in range(1, int(math.floor(R)) + 1) if mob[q] != 0)
+        for q in tables.squarefree_up_to(tables.limit).tolist())
     if abs(normalizer) < 1e-12:  # only the alternating sum can vanish
         raise DomainError("mu-variant normalizer vanishes at this R")
     return normalizer
@@ -67,11 +68,11 @@ def selberg_majorant(X: int, R: float,
     tables = _tables_for(R)
     if X < 4:
         raise DomainError("X too small")
-    normalizer = _normalizer(R, tables, variant)
+    normalizer = _normalizer(tables, variant)
     mob, phi = tables.mobius, tables.phi
     inner = _basis_sum_on_range(
         [(q, mob[q] / phi[q])
-         for q in tables.squarefree_up_to(int(math.floor(R))).tolist()],
+         for q in tables.squarefree_up_to(tables.limit).tolist()],
         X, X)
     return inner ** 2 / normalizer
 
@@ -99,10 +100,9 @@ def ramanujan_expand(R: float,
     expanding the product over subsets d | g lands each term on c_{abd}.
     """
     tables = _tables_for(R)
-    normalizer = _normalizer(R, tables, variant)
-    Rq = int(math.floor(R))
+    normalizer = _normalizer(tables, variant)
     mob, phi = tables.mobius, tables.phi
-    sq = [int(q) for q in tables.squarefree_up_to(Rq)]
+    sq = tables.squarefree_up_to(tables.limit).tolist()
     coeffs: dict[int, float] = {}
     for q1 in sq:
         w1 = mob[q1] / phi[q1]
@@ -211,21 +211,14 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
     lam_per_table = _basis_sum_on_range(head, 0, period)
     lam_per = lam_per_table[np.arange(X, 2 * X) % period]
 
-    band_index, f_bands = [], []
-    for i in range(i0, i1 + 1):
-        if i < i1:
-            sel = [(q, v) for q, v in coeffs.c.items()
-                   if 2 ** i < q <= 2 ** (i + 1)]
-        else:
-            sel = [(q, v) for q, v in coeffs.c.items()
-                   if 2 ** i1 < q <= r2]
-        band_index.append(i)
-        f_bands.append(_basis_sum_on_range(sel, X, X) if sel
-                       else np.zeros(X, dtype=np.float64))
-    bands, h = [], np.zeros(X, dtype=np.float64)
-    for i, fi in zip(band_index, f_bands):
-        thr = 2.0 ** (i * cexp / 2.0)
-        keep = np.abs(fi) <= thr
+    band_index = list(range(i0, i1 + 1))
+    f_bands, bands, h = [], [], np.zeros(X, dtype=np.float64)
+    for i in band_index:
+        top = 2 ** (i + 1) if i < i1 else r2  # the last band takes the rest
+        fi = _basis_sum_on_range(
+            [(q, v) for q, v in coeffs.c.items() if 2 ** i < q <= top], X, X)
+        keep = np.abs(fi) <= 2.0 ** (i * cexp / 2.0)
+        f_bands.append(fi)
         bands.append(np.where(keep, fi, 0.0))
         h += np.where(keep, 0.0, fi)  # the above-threshold part g'_i
     return BandDecomposition(
@@ -288,9 +281,7 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
     sup_env_ratio = sup_per / (Q * Q)
     h_stat = float(np.abs(dec.h).mean()) * Q
 
-    grid = 1
-    while grid < 32 * X:
-        grid *= 2
+    grid = 1 << (32 * X - 1).bit_length()  # least power of 2 >= 32 X
     c = dec.cexp
     terms = []
     for gi in dec.bands:

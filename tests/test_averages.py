@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestSampledFunction:
         expected = f.values[(n + 2) - 1] * np.conj(f.values[(n + 5) - 1])
         assert g.lo == -1 and g.hi == 45
         assert abs(g.values[n - g.lo] - expected) < 1e-15
+
+    @pytest.mark.parametrize("h, hp, lo, hi, digest", [
+        (3, -2, -3, 37,
+         "87d750b1cf0fb065095465b64cccbb41f7b3366d4ed1de33e965546e167fb4ab"),
+        (-4, 0, -1, 40,
+         "2065bbc11bc59f05f58f742c233faa07e21e171380a1c68992c557aad1752f3f"),
+        (0, 0, -5, 40,
+         "88c62c2dbb9906d629749e51034cc32c1e5f3710acab61b33b4f741ecf41ca35"),
+    ])
+    def test_difference_values_pinned(self, h, hp, lo, hi, digest):
+        # sha256 of repr(values.tolist()), recorded from the code before
+        # difference read its shifts through SampledFunction.slice
+        g = difference(disc(7, -5, 40), h, hp)
+        assert (g.lo, g.hi) == (lo, hi)
+        text = repr(g.values.tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestLogAvg:

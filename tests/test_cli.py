@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
+from sumprod import cli
 from sumprod.cli import main
 from sumprod.coloring import extremal_coloring
 
@@ -171,3 +173,69 @@ class TestDeterminism:
             assert run(case + ["--output", d1]) == 0
             assert run(case + ["--output", d2]) == 0
             assert dir_digest(d1) == dir_digest(d2), case
+
+
+class TestDefaultArtifactsPinned:
+    """sha256 of every default-config CLI artifact directory, recorded
+    from the code before the one-path fold.  Each subcommand runs in a
+    fresh working directory with relative paths; a digest covers every
+    file under the output directory in sorted order, as relative path,
+    a NUL byte, then the file's bytes."""
+
+    SEED = "1729"
+    CASES = [
+        ("extremal", ["extremal", "--r", "12", "--all-up-to"],
+         "8f549cca5e9d5dde4100850c954d3ebfaa4cd6161a613ae98e0195a031217922"),
+        ("threshold-r1", ["threshold", "--r", "1"],
+         "5a292bad8125e0e8ef78cb50e096150f3b9e36c7f02b8c498e8bf9e213c8b46a"),
+        ("threshold-r2", ["threshold", "--r", "2"],
+         "70114dc0e3e99fd2e6cf41b68b824c9b45cc02182046aa8b38be973867815bfb"),
+        ("detect", ["detect", "--coloring", "inputs/extremal.json"],
+         "8e68d919596b5ed8d02b85d653d972e7af5276a846d826ce9af3f7e02ecb3746"),
+        ("norms", ["norms", "--seed", SEED],
+         "2ffcc28c58765d858684ed0075022d65278085bd099d70b64fb6db257325f7e6"),
+        ("lemma-check", ["lemma-check", "--name", "maximal", "--seed", SEED],
+         "5b43e643c405722845e40b59df26de6608a16293ce209a4b38dcce293a7d0ed6"),
+        ("dioph-verify", ["dioph", "--mode", "verify"],
+         "415c9b31ad4faa7a5fb4f7ee59cc58830d8406c32f0286960dcc6da648a34f62"),
+        ("dioph-weyl", ["dioph", "--mode", "weyl"],
+         "83daf8da255a3f6cf7bcedb3303c412fe282ba2db0a426c15ec00091053755cf"),
+        ("dioph-vino", ["dioph", "--mode", "vino"],
+         "4f39e84a5817cc56367d02bc6fb07b2b356cdfc75de1ae5fa79385c708b4266e"),
+        ("sieve", ["sieve", "--export-decomposition"],
+         "16e6b5a58b967ac5149a248cff38ff69d92140d295594ee7b2f1b6af39904e7b"),
+        ("richness", ["richness"],
+         "1f3a7c0c78c6654dc3cd3529a0dfa552a07b02cb32971d177bacb4e82a08460f"),
+    ]
+
+    @staticmethod
+    def tree_digest(root):
+        h = hashlib.sha256()
+        root = Path(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+        return h.hexdigest()
+
+    def test_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rle = Path("inputs") / "extremal.json"
+        rle.parent.mkdir()
+        rle.write_text(extremal_coloring(12).to_rle_json())
+        got, want = {}, {}
+        for name, argv, digest in self.CASES:
+            assert run(argv + ["--output", name]) == 0, name
+            got[name], want[name] = self.tree_digest(name), digest
+        assert got == want
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_capacity(self, tmp_path, monkeypatch,
+                                         capsys):
+        def exhausted(r):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "extremal_coloring", exhausted)
+        out = str(tmp_path / "o")
+        assert run(["extremal", "--r", "25", "--output", out]) == 3
+        assert "capacity error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,36 @@ class TestRLE:
         back = Coloring.from_rle_json(c.to_rle_json())
         assert back.N == c.N and back.r == c.r
         assert np.array_equal(back.colors, c.colors)
+
+    @staticmethod
+    def loop_runs(cols):
+        # the per-element run loop that to_rle_json replaced
+        runs, i, N = [], 0, len(cols)
+        while i < N:
+            j = i
+            while j + 1 < N and cols[j + 1] == cols[i]:
+                j += 1
+            runs.append([int(cols[i]), j - i + 1])
+            i = j + 1
+        return runs
+
+    def test_runs_match_loop_and_roundtrip(self):
+        rng = np.random.default_rng(31)
+        cases = [np.zeros(0, dtype=np.int64), np.array([2]),
+                 np.full(17, 1)]
+        for _ in range(200):
+            N, r = int(rng.integers(0, 60)), int(rng.integers(1, 5))
+            # short runs and long ones: repeat each draw a random count
+            cases.append(np.repeat(rng.integers(0, r, size=N),
+                                   rng.integers(1, 4, size=N)))
+        for cols in cases:
+            c = Coloring(N=len(cols), r=int(cols.max(initial=0)) + 1,
+                         colors=cols)
+            text = c.to_rle_json()
+            assert json.loads(text)["runs"] == self.loop_runs(cols.tolist())
+            back = Coloring.from_rle_json(text)
+            assert (back.N, back.r) == (c.N, c.r)
+            assert np.array_equal(back.colors, c.colors)
 
 
 class TestPartitionIdentity:

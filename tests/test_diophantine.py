@@ -258,6 +258,48 @@ class TestVino:
         assert alarms == 0
         assert held > 300  # the draw design must actually exercise the lemma
 
+    @staticmethod
+    def scan_q(alpha, qmax, thresh):
+        # the linear scan over every q <= qmax that the walk replaced
+        for q in range(1, qmax + 1):
+            x = alpha * q
+            if abs(x - round(x)) <= thresh:
+                return q
+        return None
+
+    def test_q_equals_linear_scan(self):
+        # the first passing convergent is the least passing q: seeded
+        # near-rational and uniform alphas, shifted to negative values
+        # and values >= 1, exact fractions a/q, and alpha = 0
+        rng = np.random.default_rng(90210)
+        held = found = 0
+        for i in range(600):
+            delta2 = float(rng.uniform(0.05, 0.4))
+            delta1 = float(rng.uniform(1e-9, delta2 / 32.0))
+            T = int(rng.integers(math.ceil(16 / delta2), 4000))
+            q = int(rng.integers(1, max(2, int(1 / delta2)) + 1))
+            a = int(rng.integers(0, q))
+            if i % 3 == 0:
+                alpha = a / q + float(rng.uniform(-1, 1)) * delta1 / (2 * T)
+            elif i % 3 == 1:
+                alpha = float(rng.random())
+            else:
+                alpha = a / q
+            qmax = math.floor(16 / delta2)
+            thresh = delta1 / (delta2 * T)
+            for shift in (0, -3, 1, 4):
+                x = 0.0 if i == 0 else alpha + shift
+                res = vino_verify(x, T, delta1, delta2)
+                if res.hypothesis_holds:
+                    held += 1
+                    want = self.scan_q(x, qmax, thresh)
+                    assert res.q == want, (x, T, delta1, delta2)
+                    assert res.alarm == (want is None)
+                    found += want is not None
+                else:
+                    assert res.q is None and not res.alarm
+        assert held > 800 and found > 800
+
 
 class TestGamma:
     def test_singleton(self):
@@ -407,6 +449,16 @@ class TestConcat:
             num += inner / (len(S) * T * T) / n
             hn += 1.0 / n
         assert abs(got - num / hn) < 1e-10
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("log", "0.10485880664319687"),
+        ("uniform", "0.07454702553149677"),
+    ])
+    def test_hypothesis_pinned(self, mode, expected):
+        # repr recorded from the code before the shifts were read
+        # through SampledFunction.slice; S has a negative step
+        f = SampledFunction.random_disc(np.random.default_rng(11), -30, 90)
+        assert repr(concat_hypothesis(f, 40, [-3, 1, 2], 5, mode)) == expected
 
     def test_conclusion_constant(self):
         f = SampledFunction.constant(1.0, 1, 3000)

@@ -405,12 +405,33 @@ class TestSpNumberThree:
         core = kernelize_deg2(pattern_graph(773).adj)
         assert fail_first_3colorable(core)
 
+    # A vertex-critical core of the pattern graph of [774]: a deletion
+    # filter in descending vertex order over the 337-vertex degree-2
+    # kernel leaves these 123 vertices, and deleting any one of them
+    # makes the rest 3-colorable.
+    CORE_774 = list(range(12, 57)) + [
+        58, 60, 61, 63, 66, 72, 75, 80, 81, 84, 87, 88, 90, 93, 95, 96, 99,
+        102, 105, 108, 112, 114, 117, 120, 123, 126, 132, 135, 140, 144,
+        147, 150, 153, 156, 160, 165, 168, 180, 184, 192, 198, 204, 210,
+        216, 220, 224, 228, 234, 240, 243, 252, 261, 270, 272, 276, 288,
+        297, 306, 308, 315, 336, 342, 360, 368, 380, 396, 432, 440, 450,
+        459, 468, 476, 560, 567, 608, 675, 720, 774]
+
     def test_r3_at_core_not_colorable_independent(self):
-        # exhaustive confirmation on the degree-2 kernel (~337 vertices);
-        # this is the expensive independent oracle (~1-2 minutes)
-        core = kernelize_deg2(pattern_graph(774).adj)
-        assert core  # a 3-chromatic witness cannot kernelize away
-        assert not fail_first_3colorable(core)
+        # exhaustive confirmation on the critical core, with its edges
+        # induced from the brute-force edge list rather than the
+        # library's pattern_graph; a subgraph of the pattern graph of
+        # [774] that is not 3-colorable proves [774] is not (~15 s)
+        keep = set(self.CORE_774)
+        assert len(keep) == 123
+        adj = {v: set() for v in keep}
+        edges = [(u, v) for u, v in brute_force_edges(774)
+                 if u in keep and v in keep]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert len(edges) == 314
+        assert not fail_first_3colorable(adj)
 
     def test_monotone_through_r3(self):
         assert sp_number(1).n_star <= sp_number(2).n_star <= 774
