@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +38,7 @@ from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
-_ROW_CHUNK = 2 ** 14  # rows built per tolist() batch
+_ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
 
 
 @dataclass(frozen=True)
@@ -137,16 +139,63 @@ class LevelSummary:
     worst_err_margin: float
 
 
+class DiophRows(Sequence):
+    """The rows of a scan report, stored as one array per DiophRow field.
+
+    A read-only sequence of DiophRows: len, int and negative indices,
+    slices (lists of DiophRows) and iteration (in _ROW_CHUNK slices).  A
+    DiophRow, of builtin float/int/bool values, is built only for a row
+    that is read; len, the failures and the verdict read the columns.
+    """
+
+    def __init__(self, theta, abs_sum, level, q, err, passed, vacuous):
+        self.columns = {"theta": theta, "abs_sum": abs_sum, "level": level,
+                        "q": q, "err": err, "passed": passed,
+                        "vacuous": vacuous}
+
+    @classmethod
+    def concat(cls, parts: list) -> "DiophRows":
+        return cls(*map(np.concatenate,
+                        zip(*(p.columns.values() for p in parts))))
+
+    def where(self, mask: np.ndarray) -> "DiophRows":
+        return DiophRows(*(c[mask] for c in self.columns.values()))
+
+    def __len__(self) -> int:
+        return self.columns["passed"].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [DiophRow(*vals) for vals in
+                    zip(*(c[i].tolist() for c in self.columns.values()))]
+        i = operator.index(i)
+        return DiophRow(*(c[i].item() for c in self.columns.values()))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ROW_CHUNK):
+            yield from self[lo: lo + _ROW_CHUNK]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiophRows) and all(
+            np.array_equal(a, b) for a, b in zip(self.columns.values(),
+                                                 other.columns.values()))
+
+    def dicts(self) -> list:
+        """vars() of every row, read straight from the columns."""
+        return [dict(zip(self.columns, vals)) for vals in
+                zip(*(c.tolist() for c in self.columns.values()))]
+
+
 class _RowReport:
     """The failures and verdict of a scan report, read off its rows."""
 
     @property
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.passed]
+    def failures(self) -> DiophRows:
+        return self.rows.where(~self.rows.columns["passed"])
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return bool(self.rows.columns["passed"].all())
 
 
 @dataclass
@@ -155,7 +204,8 @@ class DiophReport(_RowReport):
 
     Every failure is stored; passing rows are sampled (first 512 per
     level) since vacuous levels can obligate a large fraction of the
-    grid.  The per-level summaries count all obligated points.
+    grid.  The per-level summaries count all obligated points.  The rows
+    are columns (DiophRows); a DiophRow is built only when one is read.
     """
 
     params: DiophParams
@@ -166,7 +216,7 @@ class DiophReport(_RowReport):
     required_spacing: float
     certified: bool
     levels: list
-    rows: list
+    rows: DiophRows
     empirical_L: float | None = None
 
     def to_json(self) -> str:
@@ -181,8 +231,8 @@ class DiophReport(_RowReport):
             "certified": self.certified,
             "empirical_L": self.empirical_L,
             "levels": [vars(s) for s in self.levels],
-            "rows": [vars(r) for r in self.rows],
-            "failures": [vars(r) for r in self.failures],
+            "rows": self.rows.dicts(),
+            "failures": self.failures.dicts(),
         }
         return json.dumps(obj, sort_keys=True, indent=1)
 
@@ -239,22 +289,6 @@ def best_q_on_grid(js, M: int, cap: int):
             (best_num / M).reshape(js.shape)[()])
 
 
-def _rows_at(pos, theta, abs_sum, level, q, err, ok, vacuous) -> list:
-    """DiophRows at positions pos of the per-point arrays.
-
-    The fields are read in tolist() batches of _ROW_CHUNK, never one
-    numpy scalar at a time.
-    """
-    out = []
-    for lo in range(0, pos.size, _ROW_CHUNK):
-        p = pos[lo: lo + _ROW_CHUNK]
-        out += [DiophRow(t, a, level, qi, e, o, vacuous)
-                for t, a, qi, e, o in zip(theta[p].tolist(),
-                                          abs_sum[p].tolist(), q[p].tolist(),
-                                          err[p].tolist(), ok[p].tolist())]
-    return out
-
-
 def _min_keys(js: np.ndarray, M: int, scale: float) -> np.ndarray:
     """min over q >= 1 of max(q, ||q j/M|| * scale) for every j of js.
 
@@ -307,9 +341,10 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     (theta = j/M); by conjugate symmetry only j <= M/2 is scanned.
     Each non-vacuous level makes one array call of best_q_on_grid over
     its obligated j; counts and worst margins are array reductions
-    (both margins are monotone in q and err), and DiophRows are built
-    only for the first ROW_SAMPLE_CAP points of a level and for every
-    failure.  The empirical L takes one more array walk (_empirical_L).
+    (both margins are monotone in q and err), and the rows keep the
+    first ROW_SAMPLE_CAP points of a level and every failure as columns
+    (DiophRows), so a DiophRow is built only when one is read.  The
+    empirical L takes one more array walk (_empirical_L).
     """
     S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
     if S.size == 0:
@@ -359,8 +394,10 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             worst_qm = worst_em = math.inf
         keep = ~ok
         keep[:ROW_SAMPLE_CAP] = True
-        rows += _rows_at(np.flatnonzero(keep), theta, absvals[js], d, q, err,
-                         ok, vac)
+        n = int(np.count_nonzero(keep))
+        rows.append(DiophRows(theta[keep], absvals[js[keep]], np.full(n, d),
+                              q[keep], err[keep], ok[keep],
+                              np.full(n, vac)))
         summaries.append(LevelSummary(
             level=d, q_cap=cap, err_threshold=thresh, vacuous=vac,
             n_obligated=int(js.size), n_pass=n_pass,
@@ -372,7 +409,8 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
                        grid_points=M, spacing=1.0 / M,
                        required_spacing=required_spacing, certified=certified,
-                       levels=summaries, rows=rows, empirical_L=emp_L)
+                       levels=summaries, rows=DiophRows.concat(rows),
+                       empirical_L=emp_L)
 
 
 @dataclass(frozen=True)
@@ -492,15 +530,15 @@ class WeylReport(_RowReport):
     eps: float
     exponent: float
     grid_points: int
-    rows: list
+    rows: DiophRows
     empirical_E: float
 
     def to_json(self) -> str:
         obj = {"X": self.X, "m": self.m, "eps": self.eps,
                "exponent": self.exponent, "grid_points": self.grid_points,
                "empirical_E": self.empirical_E, "all_pass": self.all_pass,
-               "rows": [vars(r) for r in self.rows],
-               "failures": [vars(r) for r in self.failures]}
+               "rows": self.rows.dicts(),
+               "failures": self.failures.dicts()}
         return json.dumps(obj, sort_keys=True, indent=1)
 
 
@@ -547,8 +585,8 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     # the key max(q, err X^m), so the maximum is taken on the keys
     emp_E = (math.log(float(_min_keys(js, M, float(X) ** m).max()))
              / math.log(1.0 / eps) if js.size else 0.0)
-    rows = _rows_at(np.arange(js.size), js / M, absvals[js], eps, q, err, ok,
-                    False)
+    rows = DiophRows(js / M, absvals[js], np.full(js.size, eps), q, err, ok,
+                     np.zeros(js.size, dtype=bool))
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
                       rows=rows, empirical_E=emp_E)
 

@@ -122,6 +122,19 @@ def ramanujan_expand(R: float,
     return SieveCoefficients(normalizer=normalizer, c=c)
 
 
+def _float_reprs(a: np.ndarray) -> list:
+    """[repr(v) for v in a.tolist()] for a float64 array, with one repr
+    per distinct value.
+
+    The values are grouped by bit pattern (their int64 view), so -0.0
+    and NaN keep their own strings.
+    """
+    uniq, inv = np.unique(a.view(np.int64), return_inverse=True)
+    strs = np.array([repr(v) for v in uniq.view(np.float64).tolist()],
+                    dtype=object)
+    return strs[inv].tolist()
+
+
 @dataclass
 class BandDecomposition:
     X: int
@@ -153,10 +166,10 @@ class BandDecomposition:
             "A": self.A, "i0": self.i0, "i1": self.i1,
             "c": {str(q): repr(v) for q, v in sorted(self.coeffs.c.items())},
             "normalizer": repr(self.coeffs.normalizer),
-            "lam_per_period": [repr(v) for v in self.lam_per_table.tolist()],
-            "bands": {str(i): [repr(v) for v in b.tolist()]
+            "lam_per_period": _float_reprs(self.lam_per_table),
+            "bands": {str(i): _float_reprs(b)
                       for i, b in zip(self.band_index, self.bands)},
-            "h": [repr(v) for v in self.h.tolist()],
+            "h": _float_reprs(self.h),
         }
         return json.dumps(obj, sort_keys=True)
 

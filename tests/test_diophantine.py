@@ -1,12 +1,14 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sumprod.diophantine as dioph
 from sumprod.averages import SampledFunction
-from sumprod.diophantine import (AlmostPrimeFamily, DiophParams,
+from sumprod.diophantine import (_ROW_CHUNK, AlmostPrimeFamily, DiophParams,
                                  concat_conclusion_search, concat_hypothesis,
                                  dioph_verify, exp_sum, gamma_coprimality,
                                  gamma_family, gamma_prime_window,
@@ -214,6 +216,74 @@ class TestDiophPinned:
             "c4d123cb36eed09094bdf6c1c338f9aa0214f5a8f4c64598b0275b469cb4c58d"
         assert [row[4:7] for row in rep.csv_summary_rows()[1:]] == \
             [[446, 446, 0], [734, 734, 0], [1370, 1370, 0], [2963, 2963, 0]]
+
+
+class TestDiophRows:
+    """The rows of a report are columns read as a sequence of DiophRows."""
+
+    @pytest.fixture(scope="class")
+    def probe(self, prime_table):
+        return almost_prime_round_trip(prime_table, 1, 2 ** 16)[0]
+
+    def test_failures_count_every_failing_point(self, probe):
+        assert len(probe.failures) == sum(s.n_fail for s in probe.levels)
+        assert all(not r.passed for r in probe.failures)
+        assert not probe.all_pass
+
+    def test_iteration_equals_indexing(self, probe):
+        rows = probe.rows
+        assert len(rows) > _ROW_CHUNK
+        assert list(rows) == [rows[i] for i in range(len(rows))]
+
+    def test_slices_and_negative_indices(self, probe):
+        rows, n = probe.rows, len(probe.rows)
+        lo, hi = _ROW_CHUNK - 3, _ROW_CHUNK + 3
+        assert rows[lo:hi] == [rows[i] for i in range(lo, hi)]
+        assert rows[-1] == rows[n - 1] and rows[-n] == rows[0]
+        assert rows[n - 2:] == [rows[-2], rows[-1]]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[bad]
+
+    def test_rows_hold_builtin_values(self, probe):
+        types = {"theta": float, "abs_sum": float, "level": float, "q": int,
+                 "err": float, "passed": bool, "vacuous": bool}
+        rows = probe.rows
+        for row in [rows[0], rows[-1], *rows[_ROW_CHUNK - 1:_ROW_CHUNK + 1],
+                    next(iter(probe.failures))]:
+            assert {k: type(v) for k, v in vars(row).items()} == types
+            json.dumps(vars(row))
+
+    def test_reports_compare_by_row_values(self, prime_table, probe):
+        again = almost_prime_round_trip(prime_table, 1, 2 ** 16)[0]
+        assert again == probe and again.rows is not probe.rows
+        again.rows.columns["q"][-1] += 1
+        assert again != probe
+
+    def test_empty_report(self, tables_1e5):
+        # Lambda(1) = 0, so at X = 1 no grid point is obligated
+        rep = weyl_structure_scan(tables_1e5, 1, 1, 0.5, grid_points=1024)
+        assert len(rep.rows) == 0 and list(rep.rows) == []
+        assert rep.all_pass is True
+        obj = json.loads(rep.to_json())
+        assert obj["rows"] == [] and obj["failures"] == []
+
+    def test_verdict_builds_no_row(self, prime_table, monkeypatch):
+        built = []
+
+        class CountingRow(dioph.DiophRow):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dioph, "DiophRow", CountingRow)
+        fam = AlmostPrimeFamily.build(WINDOWS, 1, prime_table)
+        rep = dioph_verify(fam.elements,
+                           DiophParams(1, fam.k, float(fam.product_scale())),
+                           LEVELS, grid_points=2 ** 20)
+        assert len(rep.failures) == 478941 and not rep.all_pass
+        assert built == []
+        assert isinstance(rep.rows[0], CountingRow) and built == [1]
 
 
 class TestVino:

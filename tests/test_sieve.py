@@ -6,8 +6,8 @@ import pytest
 
 from sumprod.errors import CapacityError, DomainError
 from sumprod.numtheory import ramanujan_sum, sieve_primes
-from sumprod.sieve import (band_decompose, ramanujan_expand, selberg_majorant,
-                           verify_sieve_bounds)
+from sumprod.sieve import (_float_reprs, band_decompose, ramanujan_expand,
+                           selberg_majorant, verify_sieve_bounds)
 
 
 def mu_phi(q):
@@ -167,6 +167,13 @@ class TestBandDecomposition:
         assert set(obj) >= {"X", "R", "Q", "c", "lam_per_period", "bands",
                             "h"}
         assert all(isinstance(v, str) for v in obj["c"].values())
+
+    def test_float_reprs_equal_per_value_repr(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 1 / 3,
+                      0.1, 1e300, 0.0, -0.0, np.nan, 1 / 3, tiny, 0.1, 2.5])
+        assert _float_reprs(a) == [repr(v) for v in a.tolist()]
+        assert _float_reprs(np.zeros(0)) == []
 
 
 @pytest.fixture(scope="module")
