@@ -41,6 +41,14 @@ ROW_SAMPLE_CAP = 512
 _ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
 
 
+def _float_pow(base: float, exponent: float, what: str) -> float:
+    """base ** exponent, or a DomainError saying what overflowed a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError(f"{what} overflows a float") from None
+
+
 @dataclass(frozen=True)
 class DiophParams:
     L: float
@@ -52,10 +60,14 @@ class DiophParams:
             raise DomainError("need L, L' >= 1 and D > 0")
 
     def q_cap(self, delta: float) -> int:
-        return int(math.ceil((self.Lp / delta) ** self.L))
+        return int(math.ceil(self._bound(delta)))
 
     def err_threshold(self, delta: float) -> float:
-        return (self.Lp / delta) ** self.L / self.D
+        return self._bound(delta) / self.D
+
+    def _bound(self, delta: float) -> float:
+        return _float_pow(self.Lp / delta, self.L,
+                          f"(L'/delta)^L at L = {self.L!r}, delta = {delta!r}")
 
     def vacuous(self, delta: float) -> bool:
         return self.err_threshold(delta) >= 0.5
@@ -273,18 +285,17 @@ def best_q_on_grid(js, M: int, cap: int):
     One array walk (grid_convergents) runs the continued-fraction
     convergents of all the j/M at once in exact int64 arithmetic; the
     minimum over a denominator cap is always attained at a convergent,
-    so this equals the direct scan without the O(cap) cost.  Starting
-    from q = 1, a convergent replaces the best only on a strict
-    improvement, so ties go to the smaller q.  Returns the (q, err)
-    arrays in the shape of js (numpy scalars for a scalar j).
+    so this equals the direct scan without the O(cap) cost.  The walk's
+    distances fall strictly after its first step, whose only tie
+    (q_0 = q_1 = 1 when j > M/2) has one q, so the last convergent
+    under the cap is the minimizer with the smallest q.  Returns the
+    (q, err) arrays in the shape of js (numpy scalars for a scalar j).
     """
     js = np.asarray(js, dtype=np.int64)
     j = js.ravel() % M
     best_q, best_num = np.ones_like(j), np.minimum(j, M - j)
     for idx, q, dist in grid_convergents(j, M, cap):
-        better = dist < best_num[idx]
-        best_q[idx[better]] = q[better]
-        best_num[idx[better]] = dist[better]
+        best_q[idx], best_num[idx] = q, dist
     return (best_q.reshape(js.shape)[()],
             (best_num / M).reshape(js.shape)[()])
 
@@ -294,11 +305,13 @@ def _min_keys(js: np.ndarray, M: int, scale: float) -> np.ndarray:
 
     A q that is not a convergent of j/M loses to the last convergent
     below it, which is no larger and approximates no worse, so one
-    uncapped walk over the convergents (ending at the reduced
-    denominator, where the distance is 0) finds the minimum.
+    uncapped walk over the convergents finds the minimum.  The walk
+    retires a point after its first convergent with q >= its scaled
+    distance (key_scale): along the convergents q never falls and the
+    distance never rises, so no later key is lower.
     """
     keys = np.full(js.size, np.inf)
-    for idx, q, dist in grid_convergents(js, M):
+    for idx, q, dist in grid_convergents(js, M, key_scale=scale):
         keys[idx] = np.minimum(keys[idx], np.maximum(q, dist / M * scale))
     return keys
 
@@ -314,8 +327,9 @@ def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
     That bound is monotone in K, so the minimum over the convergents
     (_min_keys) and the maximum over the obligated j are taken on the
     float keys, and math.log meets only each level's winning key.  The
-    obligated sets are nested, so one walk over the lowest level's j
-    serves every level.
+    obligated sets are nested, so one uncapped walk over the lowest
+    level's j serves every level, and it retires each j as soon as its
+    key can no longer fall.
     """
     if not checks:
         return 0.0
@@ -344,7 +358,9 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     (both margins are monotone in q and err), and the rows keep the
     first ROW_SAMPLE_CAP points of a level and every failure as columns
     (DiophRows), so a DiophRow is built only when one is read.  The
-    empirical L takes one more array walk (_empirical_L).
+    empirical L takes one more walk, uncapped, over the lowest level's
+    points (_empirical_L); it stops each point at the first convergent
+    whose q reaches its scaled distance, where its key is settled.
     """
     S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
     if S.size == 0:
@@ -563,6 +579,9 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
         raise RangeError(f"X={X} exceeds table limit {tables.limit}")
     if grid_points > GRID_POINT_BUDGET:
         raise CapacityError(f"grid of {grid_points} exceeds budget")
+    bound = _float_pow(eps, -exponent,
+                       f"eps^-exponent at exponent = {exponent!r}")
+    scale = _float_pow(float(X), m, f"X^m at m = {m!r}")
     M = int(grid_points)
     # n^m mod M by square-and-multiply; every factor is below M <= 2^26,
     # so each product stays below 2^52
@@ -576,14 +595,14 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
         k >>= 1
     absvals = _residue_spectrum(residues, M, tables.vonmangoldt[1: X + 1])
 
-    cap = int(math.ceil(eps ** (-exponent)))
-    thresh = eps ** (-exponent) * float(X) ** (-m)
+    cap = int(math.ceil(bound))
+    thresh = bound * float(X) ** (-m)
     js = np.flatnonzero(absvals >= eps * X)
     q, err = best_q_on_grid(js, M, cap)
     ok = err <= thresh
     # E >= log(q)/log(1/eps) and E >= log(err X^m)/log(1/eps): monotone in
     # the key max(q, err X^m), so the maximum is taken on the keys
-    emp_E = (math.log(float(_min_keys(js, M, float(X) ** m).max()))
+    emp_E = (math.log(float(_min_keys(js, M, scale).max()))
              / math.log(1.0 / eps) if js.size else 0.0)
     rows = DiophRows(js / M, absvals[js], np.full(js.size, eps), q, err, ok,
                      np.zeros(js.size, dtype=bool))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, RangeError
 
 SIEVE_LIMIT_BUDGET = 50_000_000
+_WALK_BLOCK = 2 ** 14  # grid points per block of grid_convergents
 
 
 @dataclass
@@ -137,34 +138,56 @@ def convergent_denominators(a: int, b: int,
     return out
 
 
-def grid_convergents(js: np.ndarray, M: int, qmax: int | None = None):
+def grid_convergents(js: np.ndarray, M: int, qmax: int | None = None, *,
+                     key_scale: float | None = None):
     """convergent_denominators(j, M, qmax) for every j of an int64 array.
 
     The same recurrence, run elementwise over the grid rationals j/M
-    with 0 <= j < M.  Each step advances only the live elements and
-    yields (idx, q, dist): their positions in js, their next convergent
-    denominator q, and ||q j/M|| * M = min(q j mod M, M - q j mod M).
-    An element retires after the reduced denominator of j/M or before
-    its first q > qmax.  Every q is at most M, so M <= 2^26 keeps q * j
-    below 2^52 and the int64 arithmetic exact; a qmax above M is
-    clamped to M before it meets int64.
+    with 0 <= j < M, one block of _WALK_BLOCK points at a time so that a
+    block's working arrays stay in cache.  Each step advances only the
+    live elements of the block and yields (idx, q, dist): their
+    positions in js, their next convergent denominator q, and
+    ||q j/M|| * M = min(q j mod M, M - q j mod M).  That distance is
+    min(j, M - j) at q_0 = 1 and, after it, the remainder of the same
+    Euclidean step (q_k j - p_k M = +-r_k with r_k < M/2), so it costs
+    one divmod and no product; it never rises along the walk, and falls
+    strictly after the first step.  An element retires after the
+    reduced denominator of j/M or before its first q > qmax; a qmax
+    above M is clamped to M (every q is at most M) before it meets
+    int64.  With key_scale, an element also retires after its first
+    convergent with q >= dist / M * key_scale: q never falls and dist
+    never rises, so no later convergent lowers
+    max(q, dist / M * key_scale).
     """
     js = np.asarray(js, dtype=np.int64)
     cap = M if qmax is None else min(qmax, M)
-    idx, a = np.arange(js.size), js
-    b = np.full(js.size, M, dtype=np.int64)
-    qm2, qm1 = np.ones_like(a), np.zeros_like(a)  # q_{-2}, q_{-1}
-    while idx.size:
-        q = (a // b) * qm1 + qm2
-        if q.max() > cap:  # q never decreases along the walk: retire
-            keep = q <= cap
-            idx, a, b, qm1, q = (x[keep] for x in (idx, a, b, qm1, q))
-        r = q * js[idx] % M
-        yield idx, q, np.minimum(r, M - r)
-        a, b = b, a % b
-        qm2, qm1 = qm1, q
-        live = b != 0
-        idx, a, b, qm2, qm1 = (x[live] for x in (idx, a, b, qm2, qm1))
+    if cap < 1:  # q_0 = 1 is already past the cap
+        return
+    for lo in range(0, js.size, _WALK_BLOCK):
+        j = js[lo: lo + _WALK_BLOCK]
+        idx = np.arange(lo, lo + j.size)
+        a, b = np.full_like(j, M), j  # the Euclidean pair after q_0
+        qm2, qm1 = np.zeros_like(j), np.ones_like(j)  # q_{-1}, q_0
+        dist = np.minimum(j, M - j)
+        while True:
+            yield idx, qm1, dist
+            live = b != 0
+            if key_scale is not None:
+                live &= qm1 < dist / M * key_scale
+            if not live.all():
+                idx, a, b, qm2, qm1 = (x[live]
+                                       for x in (idx, a, b, qm2, qm1))
+                if not idx.size:
+                    break
+            quot, dist = np.divmod(a, b)
+            q = quot * qm1 + qm2
+            if q.max() > cap:  # q never decreases along the walk: retire
+                keep = q <= cap
+                idx, b, dist, qm1, q = (x[keep]
+                                        for x in (idx, b, dist, qm1, q))
+                if not idx.size:
+                    break
+            a, b, qm2, qm1 = b, dist, qm1, q
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert run(["dioph", "--mode", "verify", "--D", "1000",
                     "--grid", str(2 ** 30), "--output", out]) == 3
 
+    def test_float_overflow_is_a_config_error(self, tmp_path, capsys):
+        # (L'/delta)^L, eps^-exponent and X^m each overflow a float
+        out = str(tmp_path / "o")
+        for flags, name in [
+                (["--mode", "verify", "--L", "400", "--grid", "65536"], "L"),
+                (["--mode", "weyl", "--exponent", "500"], "exponent"),
+                (["--mode", "weyl", "--m", "120"], "m")]:
+            assert run(["dioph", *flags, "--output", out]) == 2
+            assert f"at {name} = " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bound_failure(self, tmp_path):
         # an absurdly tight exponent makes the structure check fail
         out = str(tmp_path / "o")

@@ -144,6 +144,19 @@ class TestBestQOnGrid:
                 assert (qj, ej) == (best_q, best_num / M)
 
 
+class TestMinKeys:
+    @pytest.mark.parametrize("M", [2 ** 10, 1155, 997])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 37.0, 1e6, 1e12])
+    def test_equals_brute_force(self, M, scale):
+        # the early-exit walk against the minimum over every q <= M of the
+        # same float key, bit for bit
+        js = np.arange(M)
+        r = np.arange(1, M + 1)[:, None] * js % M
+        keys = np.maximum(np.arange(1, M + 1)[:, None],
+                          np.minimum(r, M - r) / M * scale)
+        assert np.array_equal(dioph._min_keys(js, M, scale), keys.min(axis=0))
+
+
 LEVELS = [0.05, 0.1, 0.2, 0.4]
 WINDOWS = [(1000, 1080), (10000, 10400)]
 
@@ -202,6 +215,17 @@ class TestDiophPinned:
         assert repr(probe.empirical_L) == empirical_L
         assert probe.csv_summary_rows()[1:] == summary
         assert verdict.all_pass
+
+    def test_multi_block_probe_empirical_L(self, prime_table):
+        # 93,614 points at the lowest level: the key walk spans six
+        # blocks; the value is the one the walk gave before it retired
+        # points early
+        fam = AlmostPrimeFamily.build(WINDOWS, 3, prime_table)
+        probe = dioph_verify(
+            fam.elements, DiophParams(1, fam.k, float(fam.product_scale())),
+            LEVELS, grid_points=2 ** 18, want_empirical_L=True)
+        assert probe.levels[-1].n_obligated == 93_614
+        assert repr(probe.empirical_L) == "5.418539921951661"
 
     def test_q_cap_beyond_int64(self):
         # (L'/delta)^L runs past 2^63 at every level, so the walk must

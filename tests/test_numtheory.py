@@ -240,6 +240,29 @@ class TestGridConvergents:
             for j, walk in zip(js, walks):
                 assert walk == convergent_denominators(j, M, qmax)
 
+    @pytest.fixture(scope="class")
+    def block_groups(self):
+        """Two groups of over 40,000 points, so each spans several walk
+        blocks: every j at M = 2^16, and a seeded draw at M = 2^26 with
+        j = 0, M/2 and M - 1."""
+        M = 2 ** 26
+        draw = np.random.default_rng(20261018).integers(0, M, size=40_000)
+        return [(np.arange(2 ** 16), 2 ** 16),
+                (np.concatenate([[0, M // 2, M - 1], draw]), M)]
+
+    @pytest.mark.parametrize("cap", [1, 1000, "M", None])
+    def test_across_blocks(self, block_groups, cap):
+        for js, M in block_groups:
+            qmax = M if cap == "M" else cap
+            walks = [[] for _ in range(js.size)]
+            for idx, q, dist in grid_convergents(js, M, qmax):
+                r = q * js[idx] % M
+                assert np.array_equal(dist, np.minimum(r, M - r))
+                for i, qi in zip(idx.tolist(), q.tolist()):
+                    walks[i].append(qi)
+            assert walks == [convergent_denominators(j, M, qmax)
+                             for j in js.tolist()]
+
 
 class TestBestRationalApproxPinned:
     @pytest.mark.parametrize("theta,qmax,q,a", [
