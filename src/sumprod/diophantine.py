@@ -575,6 +575,8 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
         raise DomainError("eps must be in (0, 1)")
     if m < 1:
         raise DomainError("need m >= 1")
+    if not exponent >= 0:  # NaN too: eps^-exponent must be a cap >= 1
+        raise DomainError(f"exponent must be >= 0, got {exponent!r}")
     if X > tables.limit:
         raise RangeError(f"X={X} exceeds table limit {tables.limit}")
     if grid_points > GRID_POINT_BUDGET:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diophantine import _residue_spectrum
 from .errors import CapacityError, DomainError
 from .numtheory import (MultiplicativeTables, divisors, factorize, mobius,
                         ramanujan_sum, sieve_primes)
@@ -33,6 +32,9 @@ FACTORIAL_TABLE_BUDGET = 5_000_000
 DEFAULT_CEXP = 0.125
 DEFAULT_Q = 6
 DEFAULT_A = 4.0
+SUP_TOLERANCE = 1e-3     # relative width of each band's Fourier-sup enclosure
+_REMAINDER_SHARE = 0.4   # the Taylor remainder's share of that width
+_MAX_HALVINGS = 60       # a guard: the default needs about three
 
 
 def _tables_for(R: float) -> MultiplicativeTables:
@@ -256,6 +258,10 @@ class SieveReport:
     lam_per_sup_envelope_ratio: float
     h_mean_abs_times_Q: float
     band_sum_stat: float
+    band_sup_bounds: list      # [lower, upper] per band, [0, 0] if g_i = 0
+    sup_grid_points: int
+    sup_taylor_order: int
+    sup_tolerance: float
     band_fourth_moments: list
     reconstruction_error: float
     checks: dict
@@ -265,21 +271,123 @@ class SieveReport:
                for k, v in vars(self).items()}
         obj["band_fourth_moments"] = [repr(v) for v in
                                       self.band_fourth_moments]
+        obj["band_sup_bounds"] = [[repr(lo), repr(up)]
+                                  for lo, up in self.band_sup_bounds]
         return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def _sup_fourier(g: np.ndarray, X: int, grid_points: int) -> float:
-    """sup_theta |sum_x g(x) e(theta x)| estimated on a dense grid.
+def _sup_grid(X: int) -> tuple[int, int, float]:
+    """(M, K, kappa) of the sup enclosure on [X, 2X), X >= 2.
 
-    The grid has spacing 1/grid_points <= 1/(16 X).  No bound on the
-    error between grid points is reported yet.
+    M is the least power of two >= 4X.  Centred at n_c = (3X-1)/2 the
+    transform has degree d = (X-1)/2, and every theta lies within
+    h = 1/(2M) of a grid point j/M, so a Taylor step spans at most
+    kappa = 2 pi d h <= pi/8 in the scaled variable tau = 2 pi d t.  K is
+    the least order with kappa^K/K! <= _REMAINDER_SHARE * SUP_TOLERANCE.
     """
-    M = grid_points
-    return float(np.max(_residue_spectrum(np.arange(X, 2 * X) % M, M, g)))
+    M = 1 << (4 * X - 1).bit_length()
+    kappa = math.pi * ((X - 1) / 2.0) / M
+    K = 2
+    while kappa ** K / math.factorial(K) > _REMAINDER_SHARE * SUP_TOLERANCE:
+        K += 1
+    return M, K, kappa
+
+
+def _taylor_shift(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Coefficients of sum_k c[:, k] (t + s)^k as a polynomial in s."""
+    b = c.copy()
+    K = c.shape[1]
+    for i in range(K - 1):
+        for k in range(K - 2, i - 1, -1):
+            b[:, k] += t * b[:, k + 1]
+    return b
+
+
+def _sup_fourier(g: np.ndarray, X: int) -> tuple[float, float]:
+    """Certified [lower, upper] around sup_theta |sum_{n in [X, 2X)} g(n)
+    e(n theta)|, with (upper - lower) <= SUP_TOLERANCE * upper, X >= 2.
+
+    Let P(theta) = sum_n g(n) e(-(n - n_c) theta); |P(theta)| is the
+    modulus of the sum at -theta, and is even and 1-periodic, so the
+    cells |theta - j/M| <= 1/(2M), j = 0..M/2, cover every theta.  With
+    M, K, kappa from _sup_grid, K real DFTs of M points give the spectra
+    A_k(j) of the weights ((n - n_c)/d)^k g(n)/k!.  Up to a phase shared
+    by every k, T_j(tau) = sum_{k<K} A_k(j) (-i tau)^k is the order-K
+    Taylor polynomial of P at j/M in the scaled offset
+    tau = 2 pi d (theta - j/M).  P is an entire function of exponential
+    type 2 pi d (its frequencies are half-integers when X is even), so
+    Bernstein's inequality bounds its K-th derivative by (2 pi d)^K sup,
+    and at |tau| <= kappa the remainder is at most r(tau) sup with
+    r(tau) = |tau|^K/K! <= kappa^K/K!.  On a cell |tau - t| <= w that
+    gives sup <= (p + fp) / (1 - r(|t| + w)), p the sup of |T_j| there,
+    and sup >= |T_j(tau)| - fp - r(tau) * upper at every evaluated point.
+
+    The coarse pass bounds p on every whole cell.  Cells whose bound
+    reaches the best lower bound are halved and the polynomial is
+    re-centred on each half, where the linear part is maximized exactly
+    at an end (|b0 + b1 s| is convex in s) and the higher terms by the
+    triangle inequality; halves whose bound falls below the lower bound
+    are dropped.
+
+    fp is a stated floating-point allowance, folded into both ends.  For
+    a radix-2 FFT with twiddles accurate to eps, every computed value of
+    A_k lies within 8 eps log2(M) sqrt(M) ||w_k||_2 of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2).
+    fp is twice that, weighted by kappa^k and summed over k, so it also
+    covers the rounding of the weights and of the polynomial values.
+    numpy's FFT mixes radices, so this is an allowance, not a proof.
+    """
+    M, K, kappa = _sup_grid(X)
+    x = (2.0 * np.arange(X) - (X - 1)) / (X - 1)  # (n - n_c)/d
+    w = np.asarray(g, dtype=np.float64)
+    spectra, fp = [], 0.0
+    for k in range(K):
+        spectra.append(np.fft.rfft(w, M))
+        fp += math.sqrt(float(np.dot(w, w))) * kappa ** k
+        w = w * x / (k + 1)
+    fp *= 16.0 * math.ulp(1.0) * math.log2(M) * math.sqrt(M)
+    fact = math.factorial(K)
+    lower = float(np.abs(spectra[0]).max()) - fp
+    ia1 = spectra[1] * (1j * kappa)  # -kappa times the tau^1 coefficient
+    bound = np.maximum(np.abs(spectra[0] - ia1), np.abs(spectra[0] + ia1))
+    for k in range(2, K):
+        bound += np.abs(spectra[k]) * kappa ** k
+    bound = (bound + fp) / (1.0 - kappa ** K / fact)
+    upper = float(bound.max())
+    cells = np.flatnonzero(bound >= lower)
+    c = np.stack([spectra[k][cells] * (-1j) ** k for k in range(K)], axis=1)
+    t, half = np.zeros(cells.size), kappa
+    for _ in range(_MAX_HALVINGS):
+        if upper - lower <= SUP_TOLERANCE * upper:
+            return max(lower, 0.0), upper
+        c, t, half = np.concatenate([c, c]), np.concatenate(
+            [t - half / 2, t + half / 2]), half / 2
+        b = _taylor_shift(c, t)
+        ends = np.abs(b[:, 0:1] + np.outer(b[:, 1], [-half, half]))
+        p = ends.max(axis=1) + np.abs(b[:, 2:]) @ half ** np.arange(2, K)
+        bound = (p + fp) / (1.0 - (np.abs(t) + half) ** K / fact)
+        upper = min(upper, float(bound.max()))
+        for s, val in ((0.0, np.abs(b[:, 0])),
+                       (-half, np.abs(b @ (-half) ** np.arange(K))),
+                       (half, np.abs(b @ half ** np.arange(K)))):
+            r = np.abs(t + s) ** K / fact
+            lower = max(lower, float((val - fp - r * upper).max()))
+        keep = bound >= lower
+        c, t = c[keep], t[keep]
+    raise RuntimeError(f"sup enclosure wider than {SUP_TOLERANCE} after "
+                       f"{_MAX_HALVINGS} halvings")
 
 
 def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
-    """Numeric check of the majorant / decomposition bounds."""
+    """Numeric check of the majorant / decomposition bounds.
+
+    band_sum_stat is X^-c Q^(c/4) sum_i U_i^c sup|g_i|^(1-c) over the
+    nonzero bands, where [L_i, U_i] is _sup_fourier's enclosure of
+    sup_theta |sum g_i(n) e(n theta)|: a DFT grid of M points (the least
+    power of two >= 4X), Taylor order K (4 at X = 10^5) and relative
+    width at most SUP_TOLERANCE.  With the upper ends the statistic is
+    a certified upper bound, not a grid estimate.
+    """
     X, R, Q = dec.X, dec.R, dec.Q
     lam = dec.majorant
     pmask = sieve_primes(2 * X).flags[X: 2 * X]
@@ -294,15 +402,16 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
     sup_env_ratio = sup_per / (Q * Q)
     h_stat = float(np.abs(dec.h).mean()) * Q
 
-    grid = 1 << (32 * X - 1).bit_length()  # least power of 2 >= 32 X
     c = dec.cexp
-    terms = []
+    terms, sup_bounds = [], []
     for gi in dec.bands:
         sup_g = float(np.max(np.abs(gi)))
         if sup_g == 0.0:
+            sup_bounds.append((0.0, 0.0))
             continue
-        sup_hat = _sup_fourier(gi, X, grid)
-        terms.append((sup_hat ** c) * (sup_g ** (1.0 - c)))
+        sup_bounds.append(_sup_fourier(gi, X))
+        terms.append((sup_bounds[-1][1] ** c) * (sup_g ** (1.0 - c)))
+    M, K, _ = _sup_grid(X)
     band_stat = math.fsum(terms) * Q ** (c / 4.0) / float(X) ** c
     moments = [float(np.mean(np.abs(fi) ** 4)) for fi in dec.f_bands]
     checks = {
@@ -324,6 +433,10 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
         lam_per_sup_envelope_ratio=sup_env_ratio,
         h_mean_abs_times_Q=h_stat,
         band_sum_stat=band_stat,
+        band_sup_bounds=sup_bounds,
+        sup_grid_points=M,
+        sup_taylor_order=K,
+        sup_tolerance=SUP_TOLERANCE,
         band_fourth_moments=moments,
         reconstruction_error=dec.reconstruction_error(),
         checks=checks)

@@ -140,6 +140,13 @@ class TestExitCodes:
             assert f"at {name} = " in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_negative_exponent_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert run(["dioph", "--mode", "weyl", "--X", "1000", "--grid",
+                    "4096", "--exponent", "-500", "--output", out]) == 2
+        assert "exponent must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bound_failure(self, tmp_path):
         # an absurdly tight exponent makes the structure check fail
         out = str(tmp_path / "o")
@@ -188,10 +195,11 @@ class TestDeterminism:
 
 class TestDefaultArtifactsPinned:
     """sha256 of every default-config CLI artifact directory, recorded
-    from the code before the one-path fold.  Each subcommand runs in a
-    fresh working directory with relative paths; a digest covers every
-    file under the output directory in sorted order, as relative path,
-    a NUL byte, then the file's bytes."""
+    from the code before the one-path fold; sieve's was recorded again
+    when sieve_report.json gained the band Fourier-sup enclosures.  Each
+    subcommand runs in a fresh working directory with relative paths; a
+    digest covers every file under the output directory in sorted order,
+    as relative path, a NUL byte, then the file's bytes."""
 
     SEED = "1729"
     CASES = [
@@ -214,10 +222,18 @@ class TestDefaultArtifactsPinned:
         ("dioph-vino", ["dioph", "--mode", "vino"],
          "4f39e84a5817cc56367d02bc6fb07b2b356cdfc75de1ae5fa79385c708b4266e"),
         ("sieve", ["sieve", "--export-decomposition"],
-         "16e6b5a58b967ac5149a248cff38ff69d92140d295594ee7b2f1b6af39904e7b"),
+         "0c222b30399be03c15cd69de2974830a41b2650effff55910af81b88ac12dd41"),
         ("richness", ["richness"],
          "1f3a7c0c78c6654dc3cd3529a0dfa552a07b02cb32971d177bacb4e82a08460f"),
     ]
+
+    # single files whose bytes are pinned apart from their directory's
+    # digest; decomposition.json was recorded before the band Fourier sups
+    # became enclosures, which changed only sieve_report.json
+    FILE_PINS = {
+        "sieve/decomposition.json":
+        "d96218b4689ebb1e5607f71dc5d777985908db6ad86cc5f41a7b61ac61cc7fc4",
+    }
 
     @staticmethod
     def tree_digest(root):
@@ -237,6 +253,9 @@ class TestDefaultArtifactsPinned:
         for name, argv, digest in self.CASES:
             assert run(argv + ["--output", name]) == 0, name
             got[name], want[name] = self.tree_digest(name), digest
+        for path, digest in self.FILE_PINS.items():
+            got[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            want[path] = digest
         assert got == want
 
 

@@ -513,6 +513,14 @@ class TestVonMangoldt:
         with pytest.raises(DomainError):
             weyl_structure_scan(tables_1e5, 100, 0, 0.2, grid_points=1024)
 
+    @pytest.mark.parametrize("exponent", [-500.0, -1e-9, float("nan")])
+    def test_weyl_rejects_negative_or_nan_exponent(self, tables_1e5,
+                                                   exponent):
+        # eps^-exponent would be a cap below 1 (0 after underflow)
+        with pytest.raises(DomainError, match="exponent must be >= 0"):
+            weyl_structure_scan(tables_1e5, 1000, 1, 0.2, exponent=exponent,
+                                grid_points=4096)
+
 
 class TestConcat:
     def test_constant_hypothesis(self):

@@ -6,7 +6,8 @@ import pytest
 
 from sumprod.errors import CapacityError, DomainError
 from sumprod.numtheory import ramanujan_sum, sieve_primes
-from sumprod.sieve import (_float_reprs, band_decompose, ramanujan_expand,
+from sumprod.sieve import (SUP_TOLERANCE, _float_reprs, _sup_fourier,
+                           _sup_grid, band_decompose, ramanujan_expand,
                            selberg_majorant, verify_sieve_bounds)
 
 
@@ -209,6 +210,79 @@ class TestVerifyBounds:
         rep = verify_sieve_bounds(dec)
         assert rep.h_mean_abs_times_Q == 0.0
         assert rep.band_sum_stat == 0.0
+        assert rep.band_sup_bounds == [(0.0, 0.0)] * len(dec.bands)
+
+    # the maxima over the 2^22-point grid that band_sum_stat was computed
+    # from before the enclosure, recorded at the default X = 10^5
+    GRID_MAXIMA_1E5 = [20569.257765738566, 14469.541228939544,
+                       9079.921369087902, 4167.167604835617,
+                       2807.801953515398, 989.071172549197]
+
+    def test_default_enclosures(self):
+        X = 10 ** 5  # the CLI default, R = X^(1/4)
+        rep = verify_sieve_bounds(band_decompose(X, X ** 0.25, 6))
+        assert (rep.sup_grid_points, rep.sup_taylor_order,
+                rep.sup_tolerance) == (2 ** 19, 4, SUP_TOLERANCE)
+        nonzero = [b for b in rep.band_sup_bounds if b != (0.0, 0.0)]
+        assert len(nonzero) == len(self.GRID_MAXIMA_1E5)
+        for (lo, up), grid_max in zip(nonzero, self.GRID_MAXIMA_1E5):
+            assert 0.0 < lo <= up
+            assert up - lo <= SUP_TOLERANCE * up
+            assert grid_max <= up
+
+
+def grid_max(g, X, M):
+    """max_j |sum_n g(n) e(n j/M)| over n in [X, 2X): one M-point real
+    DFT, the estimate band_sum_stat used before the enclosure."""
+    acc = np.bincount(np.arange(X, 2 * X) % M, g, minlength=M)
+    return float(np.max(np.abs(np.fft.rfft(acc))))
+
+
+def direct_abs(g, X, thetas):
+    """|sum_n g(n) e(n theta)| for every theta, by direct summation."""
+    n = np.arange(X, 2 * X)
+    return np.abs(np.exp(2j * np.pi * np.outer(thetas, n)) @ g)
+
+
+class TestSupEnclosure:
+    def test_contains_2_22_grid_maximum(self):
+        X = 10 ** 4
+        dec = band_decompose(X, X ** 0.25, 6)
+        bands = [g for g in dec.bands if np.any(g)]
+        assert len(bands) >= 4
+        for g in bands:
+            lo, up = _sup_fourier(g, X)
+            assert lo <= up and up - lo <= SUP_TOLERANCE * up
+            assert grid_max(g, X, 2 ** 22) <= up
+
+    @pytest.mark.parametrize("X", [2, 3, 17, 64, 255, 300])
+    def test_dense_direct_sums(self, X):
+        g = np.random.default_rng(X).standard_normal(X)
+        lo, up = _sup_fourier(g, X)
+        assert 0.0 <= lo <= up and up - lo <= SUP_TOLERANCE * up
+        thetas = np.arange(64 * X) / (64 * X)  # one period
+        vals = direct_abs(g, X, thetas)
+        assert vals.max() <= up
+        # around the best samples the local maximum is found to ~1e-9
+        # relative, and the certified lower end may not exceed it
+        best = thetas[np.argsort(vals)[-4:]]
+        fine = (best[:, None] + np.linspace(-1, 1, 4001) / (64 * X)).ravel()
+        peak = direct_abs(g, X, fine).max()
+        assert peak <= up
+        assert lo <= peak * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("X", [7, 1000, 10 ** 4])
+    def test_constant_encloses_X(self, X):
+        lo, up = _sup_fourier(np.ones(X), X)
+        assert lo <= X <= up
+        assert up - lo <= SUP_TOLERANCE * up
+
+    def test_grid_and_order_follow_X(self):
+        for X, M, K in [(2, 8, 4), (64, 256, 5), (10 ** 4, 2 ** 16, 4),
+                        (10 ** 5, 2 ** 19, 4)]:
+            got = _sup_grid(X)
+            assert got[:2] == (M, K)
+            assert got[2] <= np.pi / 8
 
 
 class TestBytesPinned:
