@@ -33,7 +33,7 @@ import numpy as np
 from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
-                        convergent_denominators, grid_convergents)
+                        convergent_denominators, factorize, grid_convergents)
 from .projections import NormParams, u1_norm, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
@@ -113,10 +113,7 @@ class AlmostPrimeFamily:
 
     def product_scale(self) -> int:
         """D = (product of interval left endpoints)^j."""
-        d = 1
-        for (a, _) in self.intervals:
-            d *= a
-        return d ** self.j
+        return math.prod(a for a, _ in self.intervals) ** self.j
 
 
 def exp_sum(S, theta: float) -> complex:
@@ -272,10 +269,7 @@ def _residue_spectrum(residues: np.ndarray, M: int,
 
 def _spectrum_on_grid(S: np.ndarray, M: int) -> np.ndarray:
     """|E_{s in S} e(j s / M)| for j = 0..M//2, exact via DFT of counts."""
-    if S.dtype == object:
-        idx = np.array([int(s) % M for s in S], dtype=np.int64)
-    else:
-        idx = np.mod(S, M).astype(np.int64)
+    idx = np.mod(S, M).astype(np.int64)  # object arrays too: Python ints
     return _residue_spectrum(idx, M, np.ones(idx.size)) / len(S)
 
 
@@ -472,31 +466,38 @@ def vino_verify(alpha: float, T: int, delta1: float,
     return VinoResult(True, count, None, True)
 
 
-def gamma_coprimality(M, exact: bool = False):
-    """gamma(M) = E^log_{n,n' in M} gcd(n, n') - 1.
+def _tree_sum(terms: list[Fraction]) -> Fraction:
+    """Sum Fractions in a balanced tree, which keeps denominators small."""
+    mid = len(terms) // 2
+    return _tree_sum(terms[:mid]) + _tree_sum(terms[mid:]) if mid else terms[0]
 
-    exact=True computes in rational arithmetic (small sets only).
+
+def gamma_coprimality(M, exact: bool = False):
+    """gamma(M) = E^log_{n,n' in M} gcd(n, n') - 1 over the multiset M.
+
+    Gauss's gcd(a, b) = sum_{d | (a, b)} phi(d) turns the pair sum into
+    sum_d phi(d) S_d^2, S_d = sum_{a in M, d | a} 1/a; summed as Fractions
+    in balanced trees it is exact.  exact=True returns it, the default its
+    correctly rounded float().  Cost: linear in the divisor count, after a
+    trial-division `factorize` per element, which grows like the square
+    root of its largest prime factor (about 10^9 steps near 2^62;
+    AlmostPrimeFamily's primes come from `sieve_primes`, under 5*10^7).
     """
     elems = [int(m) for m in (M.tolist() if isinstance(M, np.ndarray) else M)]
     if not elems or min(elems) < 1:
         raise DomainError("need a nonempty set of positive integers")
-    if exact:
-        wsum = sum(Fraction(1, m) for m in elems)
-        total = Fraction(0)
-        for a in elems:
-            for b in elems:
-                total += Fraction(math.gcd(a, b), a * b)
-        return total / (wsum * wsum) - 1
-    arr = np.asarray(elems, dtype=np.int64)
-    w = 1.0 / arr.astype(np.float64)
-    wsum = math.fsum(w.tolist())
-    total = 0.0
-    block = max(1, (2 ** 22) // max(len(arr), 1))
-    for i in range(0, len(arr), block):
-        blk = arr[i:i + block]
-        g = np.gcd.outer(blk, arr).astype(np.float64)
-        total += float((g * w[i:i + block, None] * w[None, :]).sum())
-    return total / (wsum * wsum) - 1.0
+    terms = {}  # (d, phi(d)) -> [1/a for every a in M that d divides]
+    for a in elems:
+        divs = [(1, 1)]
+        for p, e in factorize(a):
+            divs = [(d * p ** k, f * (p - 1) * p ** (k - 1) if k else f)
+                    for d, f in divs for k in range(e + 1)]
+        for key in divs:
+            terms.setdefault(key, []).append(Fraction(1, a))
+    s = {key: _tree_sum(t) for key, t in terms.items()}
+    total = _tree_sum([f * s_d ** 2 for (_, f), s_d in s.items()])
+    gamma = total / s[1, 1] ** 2 - 1
+    return gamma if exact else float(gamma)
 
 
 def gamma_prime_window(primes) -> float:

@@ -30,7 +30,6 @@ from .numtheory import (MultiplicativeTables, divisors, factorize, mobius,
 
 FACTORIAL_TABLE_BUDGET = 5_000_000
 DEFAULT_CEXP = 0.125
-DEFAULT_Q = 6
 DEFAULT_A = 4.0
 SUP_TOLERANCE = 1e-3     # relative width of each band's Fourier-sup enclosure
 _REMAINDER_SHARE = 0.4   # the Taylor remainder's share of that width
@@ -414,9 +413,10 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
     M, K, _ = _sup_grid(X)
     band_stat = math.fsum(terms) * Q ** (c / 4.0) / float(X) ** c
     moments = [float(np.mean(np.abs(fi) ** 4)) for fi in dec.f_bands]
+    rec_err = dec.reconstruction_error()
     checks = {
         "nonnegative": bool(lam.min() >= 0.0),
-        "reconstruction_1e-8": dec.reconstruction_error() <= 1e-8,
+        "reconstruction_1e-8": rec_err <= 1e-8,
         "prime_floor_0.8_logR": floor_logR >= 0.8,
         "moment_envelope": all(
             m <= max(1.0, float(i) ** 16)
@@ -438,5 +438,5 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
         sup_taylor_order=K,
         sup_tolerance=SUP_TOLERANCE,
         band_fourth_moments=moments,
-        reconstruction_error=dec.reconstruction_error(),
+        reconstruction_error=rec_err,
         checks=checks)

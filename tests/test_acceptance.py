@@ -188,7 +188,7 @@ class TestAcceptance:
             val = g * math.log(math.log(X))
             bands[X] = val
             ok = ok and 0.1 <= val <= 10.0
-        # the X = 1e3 case doubles as the direct-enumeration cross-check
+        # the X = 1e3 case doubles as a cross-check of the divisor identity
         direct_small = gamma_coprimality(
             prime_table.primes_array(2, 10 ** 3 + 1).tolist())
         ok = ok and abs(direct_small -

@@ -18,6 +18,44 @@ from sumprod.errors import CapacityError, DomainError
 from sumprod.numtheory import convergent_denominators
 
 
+def pairwise_gamma(M):
+    """gamma of the multiset M from its definition: every ordered pair's
+    gcd/(ab), summed in Fractions and normalized by (sum 1/a)^2."""
+    wsum = sum(Fraction(1, a) for a in M)
+    total = sum(Fraction(math.gcd(a, b), a * b) for a in M for b in M)
+    return total / (wsum * wsum) - 1
+
+
+def coprimality_multisets(count=300, seed=20261018):
+    """Seeded multisets with repeats, 1s, prime powers, shared factors,
+    singletons and elements >= 2^63 that have only small prime factors
+    (two of them, since gamma's cost grows with the divisor count)."""
+    rng = np.random.default_rng(seed)
+    primes = [2, 3, 5, 7, 11, 13, 97, 101, 9973]
+    out = [[1], [7], [2 ** 63], [3 ** 40 * 7]]
+    while len(out) < count:
+        M = []
+        for _ in range(int(rng.integers(1, 30))):
+            kind = int(rng.integers(6))
+            if kind == 0 and M:  # a repeat
+                M.append(M[int(rng.integers(len(M)))])
+            elif kind == 1:
+                M.append(1)
+            elif kind == 2:  # a prime power
+                M.append(primes[int(rng.integers(len(primes)))]
+                         ** int(rng.integers(1, 6)))
+            elif kind == 3:  # p^k q >= 2^63 with p, q <= 13
+                p, n = (primes[int(i)] for i in rng.integers(6, size=2))
+                while n < 2 ** 63:
+                    n *= p
+                M.append(n)
+            else:  # products of one to three primes share factors
+                M.append(math.prod(primes[int(i)] for i in rng.integers(
+                    len(primes), size=int(rng.integers(1, 4)))))
+        out.append(M)
+    return out
+
+
 class TestExpSum:
     def test_theta_zero(self):
         assert exp_sum([1, 5, 9], 0.0) == 1.0
@@ -401,6 +439,19 @@ class TestGamma:
 
     def test_two_three_exact(self):
         assert gamma_coprimality([2, 3], exact=True) == Fraction(17, 25)
+
+    def test_equals_pairwise_oracle(self):
+        for M in coprimality_multisets():
+            want = pairwise_gamma(M)
+            assert gamma_coprimality(M, exact=True) == want, M
+            got = gamma_coprimality(M)
+            assert type(got) is float and got.hex() == float(want).hex(), M
+
+    def test_elements_above_int64(self):
+        M = [2 ** 64, 6, 3 ** 41, 6]
+        assert gamma_coprimality(M) == float(pairwise_gamma(M))
+        assert gamma_coprimality(np.array(M, dtype=object)) == float(
+            pairwise_gamma(M))
 
     def test_float_matches_exact(self):
         vals = [2, 3, 5, 9, 14]

@@ -132,6 +132,20 @@ class TestRamanujanExpand:
                                                             lam[int(n) - X])
 
 
+@pytest.fixture(scope="module")
+def levels_1e5():
+    """(decomposition, report) at X = 10^5, Q = 6 for two sieve levels: the
+    CLI default R = X^(1/4) = 17.8 (6 nonzero bands), and R = 10^(5^(1/4))
+    = 31.3 (8 nonzero bands)."""
+    X = 10 ** 5
+    out = {}
+    for level, R in (("default X^(1/4)", X ** 0.25),
+                     ("R = 10^(5^(1/4))", 10 ** (5 ** 0.25))):
+        dec = band_decompose(X, R, 6)
+        out[level] = dec, verify_sieve_bounds(dec)
+    return out
+
+
 class TestBandDecomposition:
     def test_total_absorption(self):
         # 2^i0 >= R^2 pushes everything into the periodic head
@@ -147,14 +161,15 @@ class TestBandDecomposition:
         assert dec.head_moduli == [1, 2]
         assert dec.period == 2
 
-    def test_reconstruction(self):
-        dec = band_decompose(10 ** 5, 10 ** 5 ** 0.25, 6, cexp=0.125, A=4.0)
-        assert dec.reconstruction_error() <= 1e-8
+    def test_reconstruction(self, levels_1e5):
+        for level, (dec, _) in levels_1e5.items():
+            assert dec.reconstruction_error() <= 1e-8, level
 
-    def test_threshold_bounds_bands(self):
-        dec = band_decompose(10 ** 5, 10 ** 5 ** 0.25, 6, cexp=0.125, A=4.0)
-        for i, g in zip(dec.band_index, dec.bands):
-            assert np.max(np.abs(g)) <= 2.0 ** (i * dec.cexp / 2.0) + 1e-12
+    def test_threshold_bounds_bands(self, levels_1e5):
+        for level, (dec, _) in levels_1e5.items():
+            for i, g in zip(dec.band_index, dec.bands):
+                assert np.max(np.abs(g)) <= (
+                    2.0 ** (i * dec.cexp / 2.0) + 1e-12), (level, i)
 
     def test_periodicity_of_head(self):
         dec = band_decompose(10 ** 4, 10.0, 6)
@@ -177,31 +192,30 @@ class TestBandDecomposition:
         assert _float_reprs(np.zeros(0)) == []
 
 
-@pytest.fixture(scope="module")
-def report_1e5():
-    dec = band_decompose(10 ** 5, 10 ** 5 ** 0.25, 6)
-    return verify_sieve_bounds(dec)
-
-
 class TestVerifyBounds:
 
-    def test_prime_floor(self, report_1e5):
-        assert report_1e5.majorant_min_prime_over_logR >= 0.8
+    def test_prime_floor(self, levels_1e5):
+        for level, (_, rep) in levels_1e5.items():
+            assert rep.majorant_min_prime_over_logR >= 0.8, level
 
-    def test_mean_bounded(self, report_1e5):
-        assert report_1e5.majorant_mean <= 5.0
+    def test_mean_bounded(self, levels_1e5):
+        for level, (_, rep) in levels_1e5.items():
+            assert rep.majorant_mean <= 5.0, level
 
-    def test_h_small(self, report_1e5):
-        assert report_1e5.h_mean_abs_times_Q <= 10.0
+    def test_h_small(self, levels_1e5):
+        for level, (_, rep) in levels_1e5.items():
+            assert rep.h_mean_abs_times_Q <= 10.0, level
 
-    def test_moment_growth(self, report_1e5):
-        for i, m in zip(report_1e5.band_fourth_moments and
-                        range(2, 2 + len(report_1e5.band_fourth_moments)),
-                        report_1e5.band_fourth_moments):
-            assert m <= max(1.0, float(i) ** 16)
+    def test_moment_growth(self, levels_1e5):
+        for level, (_, rep) in levels_1e5.items():
+            for i, m in zip(rep.band_fourth_moments and
+                            range(2, 2 + len(rep.band_fourth_moments)),
+                            rep.band_fourth_moments):
+                assert m <= max(1.0, float(i) ** 16), (level, i)
 
-    def test_all_checks(self, report_1e5):
-        assert all(report_1e5.checks.values())
+    def test_all_checks(self, levels_1e5):
+        for level, (_, rep) in levels_1e5.items():
+            assert all(rep.checks.values()), level
 
     def test_empty_band_case(self):
         with warnings.catch_warnings():
@@ -218,9 +232,8 @@ class TestVerifyBounds:
                        9079.921369087902, 4167.167604835617,
                        2807.801953515398, 989.071172549197]
 
-    def test_default_enclosures(self):
-        X = 10 ** 5  # the CLI default, R = X^(1/4)
-        rep = verify_sieve_bounds(band_decompose(X, X ** 0.25, 6))
+    def test_default_enclosures(self, levels_1e5):
+        _, rep = levels_1e5["default X^(1/4)"]
         assert (rep.sup_grid_points, rep.sup_taylor_order,
                 rep.sup_tolerance) == (2 ** 19, 4, SUP_TOLERANCE)
         nonzero = [b for b in rep.band_sup_bounds if b != (0.0, 0.0)]
