@@ -31,9 +31,11 @@ class PrimeTable:
     flags: np.ndarray
 
     def primes_array(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
-        """Primes in [lo, hi) as an int64 array (internal fast path)."""
+        """Primes in [lo, hi) as an int64 array; RangeError past the table."""
         if hi is None:
             hi = self.limit + 1
+        if hi > self.limit + 1:
+            raise RangeError(f"hi={hi} exceeds table limit {self.limit}")
         lo = max(lo, 0)
         return np.flatnonzero(self.flags[lo:hi]).astype(np.int64) + lo
 
@@ -57,8 +59,6 @@ def primes_in(table: PrimeTable, lo: int, hi: int) -> list[int]:
     """Sorted primes in the half-open interval [lo, hi)."""
     if not (2 <= lo < hi):
         raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    if hi > table.limit:
-        raise RangeError(f"hi={hi} exceeds table limit {table.limit}")
     return table.primes_array(lo, hi).tolist()
 
 

@@ -10,8 +10,9 @@ backtracking with symmetry breaking under a node budget (Brelaz, CACM
 bounded by the recursion limit, and picks vertices from one bitset of
 uncolored vertices per saturation level instead of scanning them all.
 Every coloring is checked against every edge before it is returned.
-sp_number runs one scan for every r: it extends the last good coloring
-greedily and re-solves exactly only where that gets stuck.
+sp_number runs one scan for every r and keeps only a coloring: each
+product N takes the first color its pair sums leave free, and the scan
+re-solves exactly only where no color is free.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import DomainError
 @dataclass
 class PatternGraph:
     N: int
-    edges: list          # deduplicated (sum, prod) pairs
+    edges: list          # sorted (sum, prod) pairs
     adj: dict            # vertex -> sorted list of neighbors
 
     @property
@@ -53,15 +54,13 @@ def _edges_with_product(p: int) -> list:
 def pattern_graph(N: int) -> PatternGraph:
     if N < 7:
         raise DomainError("need N >= 7")
-    edges = set()
-    for p in range(12, N + 1):
-        for e in _edges_with_product(p):
-            edges.add(e)
+    # no edge repeats: the pairs of one product have distinct sums
+    edges = sorted(e for p in range(12, N + 1) for e in _edges_with_product(p))
     adj: dict[int, set] = {}
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    return PatternGraph(N=N, edges=sorted(edges),
+    return PatternGraph(N=N, edges=edges,
                         adj={v: sorted(ns) for v, ns in adj.items()})
 
 
@@ -309,14 +308,17 @@ def sp_number(r: int, nmax: int | None = None,
               time_budget_s: float | None = None) -> ThresholdResult:
     """Smallest N <= nmax whose pattern graph is not r-colorable.
 
-    One scan for every r: each new product vertex takes the first color
-    free among its neighbours, and only when none is free does the
-    exact colorability(N, r) decide N (and, if colorable, replace the
-    greedy coloring).  The certificate pair re-verifies: colorable at
-    N* - 1, not-colorable at N*.  When the scan reaches nmax or runs out
-    of its node or time budget, n_star is None and the note says which.
-    The time budget is checked between values of N and, as a deadline,
-    inside every exact search.
+    One scan for every r that holds only a coloring (0 where unset).
+    A sum is below its product, so product N is a new vertex adjacent
+    to just its pair sums, and a sum first seen at N keeps color 0.  N
+    takes the first color its sums leave free; only when none is free
+    does the exact colorability(N, r) decide N (and, if colorable,
+    replace the coloring).  The certificate pair re-verifies: colorable
+    at N* - 1, not-colorable at N* (a refutation at N* - 1, which the
+    scan colored, raises RuntimeError).  When the scan reaches nmax or
+    runs out of its node or time budget, n_star is None and the note
+    says which.  The time budget is checked between values of N and, as
+    a deadline, inside every exact search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
@@ -324,41 +326,30 @@ def sp_number(r: int, nmax: int | None = None,
         nmax = {1: 100, 2: 10_000}.get(r, 1_000_000)
     deadline = (None if time_budget_s is None
                 else time.monotonic() + time_budget_s)
-    assignment: dict[int, int] = {}
-    adj: dict[int, set] = {}
+    color: dict[int, int] = {}
     for N in range(12, nmax + 1):
         if deadline is not None and time.monotonic() > deadline:
             return ThresholdResult(r, None, None, None, N,
                                    "time budget exhausted")
-        new_edges = _edges_with_product(N)
-        if not new_edges:
-            continue
-        for u, v in new_edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        stuck = False
-        for w in sorted({w for e in new_edges for w in e}):
-            if w in assignment:
-                continue
-            used = {assignment[u] for u in adj[w] if u in assignment}
-            free = [c for c in range(r) if c not in used]
-            if free:
-                assignment[w] = free[0]
-            else:
-                stuck = True
-        if not stuck:
+        used = {color.get(s, 0) for s, _ in _edges_with_product(N)}
+        free = next((c for c in range(r) if c not in used), None)
+        if free is not None:
+            color[N] = free
             continue
         cert = colorability(N, r, node_budget, deadline)
         if cert.verdict == "not-colorable":
             below = colorability(N - 1, r, node_budget, deadline)
-            if below.verdict != "indeterminate":
+            if below.verdict == "colorable":
                 return ThresholdResult(r, N, below, cert)
+            if below.verdict == "not-colorable":
+                raise RuntimeError(f"[{N - 1}] refuted after the scan "
+                                   f"{r}-colored it")
             cert = below
         if cert.verdict == "indeterminate":
             return ThresholdResult(r, None, None, None, N,
                                    "node budget exhausted"
                                    if cert.trace["nodes"] >= node_budget
                                    else "time budget exhausted")
-        assignment = {v: cert.coloring.color_of(v) for v in adj}
+        color = dict(enumerate(cert.coloring.colors.tolist(), 1))
     return ThresholdResult(r, None, None, None, nmax,
                            f"{r}-colorable for all N <= nmax")

@@ -14,8 +14,8 @@ from sumprod.diophantine import (_ROW_CHUNK, AlmostPrimeFamily, DiophParams,
                                  gamma_family, gamma_prime_window,
                                  vino_verify, vonmangoldt_exp_sum,
                                  weyl_structure_scan)
-from sumprod.errors import CapacityError, DomainError
-from sumprod.numtheory import convergent_denominators
+from sumprod.errors import CapacityError, DomainError, RangeError
+from sumprod.numtheory import convergent_denominators, sieve_primes
 
 
 def pairwise_gamma(M):
@@ -128,6 +128,11 @@ class TestAlmostPrimeFamily:
     def test_rejects_overlap(self, prime_table):
         with pytest.raises(DomainError):
             AlmostPrimeFamily.build([(10, 40), (30, 60)], 1, prime_table)
+
+    def test_window_past_the_table_raises(self):
+        # [900, 1080) holds 26 primes, of which a table to 1000 has 14
+        with pytest.raises(RangeError):
+            AlmostPrimeFamily.build([(900, 1080)], 1, sieve_primes(1000))
 
     def test_spectrum_pass_with_empirical_L(self, prime_table):
         # first pass records the empirical exponent; the verdict run then

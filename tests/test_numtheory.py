@@ -73,6 +73,18 @@ class TestPrimesIn:
         with pytest.raises(RangeError):
             primes_in(prime_table, 2, 10 ** 6 + 7)
 
+    def test_window_to_the_table_end(self):
+        assert primes_in(sieve_primes(1000), 990, 1001) == [991, 997]
+
+
+class TestPrimesArray:
+    def test_window_past_the_table_raises(self):
+        # a window that runs past the table is refused, not truncated
+        t = sieve_primes(1000)
+        assert t.primes_array(900, 1001).tolist()[-1] == 997
+        with pytest.raises(RangeError):
+            t.primes_array(900, 1002)
+
 
 class TestMertens:
     def test_single(self):

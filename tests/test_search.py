@@ -182,6 +182,37 @@ class TestSearchTreePinned:
     def test_sp_number_digest(self, r, nmax, digest):
         assert _sha(sp_number(r, nmax)) == digest
 
+    # the N at which the scan calls colorability, recorded from the
+    # adjacency-dict greedy that the coloring-only scan replaced
+    R3_RESOLVES = [
+        180, 198, 260, 270, 306, 320, 324, 336, 350, 396, 399, 432, 435, 440,
+        450, 459, 464, 468, 486, 495, 504, 513, 516, 522, 540, 555, 558, 564,
+        567, 576, 594, 600, 612, 615, 621, 630, 636, 648, 651, 665, 666, 675,
+        680, 684, 702, 720, 728, 732, 735, 738, 750, 756, 774, 773]
+    R4_RESOLVES = [
+        704, 1746, 1776, 1800, 1815, 1820, 2016, 2025, 2064, 2072, 2090,
+        2112, 2120, 2150, 2205, 2214, 2232, 2250, 2288, 2295, 2322, 2331,
+        2475, 2556, 2574, 2576, 2646, 2664, 2709, 2720, 2772, 2775, 2835,
+        2888, 2898, 2912, 2916, 2928, 3000]
+
+    @pytest.mark.parametrize("r, nmax, resolves", [
+        (1, None, [12, 11]),
+        (2, None, [36, 40, 42, 48, 54, 53]),
+        (3, 800, R3_RESOLVES),
+        (4, 3000, R4_RESOLVES),
+    ], ids=["r1", "r2", "r3", "r4"])
+    def test_sp_number_resolves(self, monkeypatch, r, nmax, resolves):
+        calls = []
+        real = search.colorability
+
+        def spy(N, r, *args):
+            calls.append(N)
+            return real(N, r, *args)
+
+        monkeypatch.setattr(search, "colorability", spy)
+        sp_number(r, nmax)
+        assert calls == resolves
+
 
 class TestSpNumber:
     def test_r1_is_12(self):
@@ -286,6 +317,46 @@ class TestSpNumber:
         res = sp_number(3, nmax=300)
         assert res.n_star is None
         assert res.exhausted_at == 300
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_refutation_below_the_threshold_raises(self, monkeypatch, r):
+        # the scan held a proper coloring of [N* - 1], so a refutation
+        # there is a search fault, not the colorable-side certificate
+        monkeypatch.setattr(
+            search, "colorability",
+            lambda N, r, *args: search.SearchCertificate(r, N,
+                                                         "not-colorable"))
+        with pytest.raises(RuntimeError, match="refuted"):
+            sp_number(r)
+
+
+class TestScanFacts:
+    """What the coloring-only scan of sp_number rests on, for every
+    N <= 3000: N is not a vertex of the graph of [N - 1], its neighbours
+    in the graph of [N] are exactly the sums of its pairs, and a sum
+    first seen at N has degree 1 there."""
+
+    def test_each_product_meets_only_its_sums(self):
+        full = pattern_graph(3000)
+        assert full.edges == brute_force_edges(3000)
+        for N in (12, 54, 773, 774, 2000):
+            # the graph of [N] is the edges of product <= N
+            prefix = [e for e in full.edges if e[1] <= N]
+            assert pattern_graph(N).edges == prefix
+        by_product = {}
+        for s, p in full.edges:
+            by_product.setdefault(p, []).append(s)
+        adj = {}
+        for N in range(12, 3001):
+            assert N not in adj
+            sums = sorted(by_product.get(N, []))
+            assert sums == sorted(s for s, _ in search._edges_with_product(N))
+            fresh = [s for s in sums if s not in adj]
+            for s in sums:
+                adj.setdefault(s, set()).add(N)
+                adj.setdefault(N, set()).add(s)
+            assert adj.get(N, set()) == set(sums)
+            assert all(adj[s] == {N} for s in fresh)
 
 
 class TestCertificateSerialization:
