@@ -203,10 +203,6 @@ class SampledFunction:
             return self.values[start - self.lo:last - self.lo + 1:step]
         return self.at(start + step * np.arange(count, dtype=np.int64))
 
-    def conj(self) -> "SampledFunction":
-        return SampledFunction(self.lo, self.hi, np.conj(self.values),
-                               bound=self.bound)
-
 
 def difference(f: SampledFunction, h: int, hp: int) -> SampledFunction:
     """The difference operator n -> f(n + h) * conj(f(n + hp)).

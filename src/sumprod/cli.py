@@ -63,7 +63,7 @@ def _emit_csv(outdir: str, name: str, rows: list) -> str:
 
 
 def _header(args, keys) -> dict:
-    resolved = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    resolved = {k: getattr(args, k) for k in keys}
     resolved["precedence"] = "cli>config-file>defaults"
     resolved["version"] = __version__
     return resolved
@@ -84,6 +84,8 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv):
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(values, dict):
+            parser.error("config file must hold a JSON object")
         mapped = {k.replace("-", "_"): v for k, v in values.items()}
         parser.set_defaults(**mapped)
         for action in parser._actions:
@@ -234,10 +236,9 @@ def _cmd_dioph(args) -> int:
         S = np.arange(1, args.D + 1)
         D = float(args.D)
     else:
-        table = sieve_primes(max(b for _, b in
-                                 _parse_intervals(args.intervals)))
-        fam = AlmostPrimeFamily.build(_parse_intervals(args.intervals),
-                                      args.j, table)
+        intervals = _parse_intervals(args.intervals)
+        table = sieve_primes(max(b for _, b in intervals))
+        fam = AlmostPrimeFamily.build(intervals, args.j, table)
         S = fam.elements
         D = float(fam.product_scale())
     params = DiophParams(args.L, args.Lp, D)
@@ -414,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    _load_config_defaults(parser, argv)
     try:
+        _load_config_defaults(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching the config-error code
+        # argparse exits 2 on bad usage or config: the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)

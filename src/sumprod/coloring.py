@@ -58,6 +58,9 @@ class Coloring:
     @classmethod
     def from_rle_json(cls, text: str) -> "Coloring":
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and {"N", "r", "runs"} <= obj.keys()):
+            raise DomainError("a coloring is a JSON object with N, r "
+                              "and runs")
         cols = np.concatenate([np.full(length, c, dtype=np.int64)
                                for c, length in obj["runs"]]) \
             if obj["runs"] else np.zeros(0, dtype=np.int64)

@@ -580,6 +580,8 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
         raise DomainError(f"exponent must be >= 0, got {exponent!r}")
     if X > tables.limit:
         raise RangeError(f"X={X} exceeds table limit {tables.limit}")
+    if grid_points < 16:
+        raise DomainError("grid too small")
     if grid_points > GRID_POINT_BUDGET:
         raise CapacityError(f"grid of {grid_points} exceeds budget")
     bound = _float_pow(eps, -exponent,

@@ -9,7 +9,7 @@ backtracking with symmetry breaking under a node budget (Brelaz, CACM
 1979).  The search runs on an explicit stack, so its depth is not
 bounded by the recursion limit, and picks vertices from one bitset of
 uncolored vertices per saturation level instead of scanning them all.
-Every coloring is checked against every edge before it is returned.
+Every coloring is checked by find_monochromatic before it is returned.
 sp_number runs one scan for every r and keeps only a coloring: each
 product N takes the first color its pair sums leave free, and the scan
 re-solves exactly only where no color is free.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import Coloring
+from .coloring import Coloring, find_monochromatic
 from .errors import DomainError
 
 
@@ -81,28 +81,26 @@ class SearchCertificate:
         return json.dumps(obj, sort_keys=True)
 
 
-def _checked_coloring(graph: PatternGraph, r: int,
-                      assigned: dict) -> Coloring:
+def _checked_coloring(N: int, r: int, assigned: dict) -> Coloring:
     """The coloring of [N] a search assigned (color 0 off the graph).
 
-    The colors and every edge are checked on the raw array, so a search
-    fault raises RuntimeError rather than a Coloring DomainError.
+    The colors are range-checked on the raw array, then checked against
+    the pattern by find_monochromatic, not against the search's graph,
+    so a search or graph fault raises RuntimeError, not DomainError.
     """
-    N = graph.N
     cols = np.zeros(N, dtype=np.int64)
     for v, c in assigned.items():
         cols[v - 1] = c
     if N >= 1 and (cols.min() < 0 or cols.max() >= r):
         raise RuntimeError(
             f"a color outside [0, {r}) in the N = {N} search result")
-    ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2) - 1
-    clash = np.flatnonzero(cols[ends[:, 0]] == cols[ends[:, 1]])
-    if clash.size:
-        u, v = graph.edges[clash[0]]
+    coloring = Coloring(N=N, r=r, colors=cols)
+    wit = find_monochromatic(coloring)
+    if wit is not None:
         raise RuntimeError(
             f"improper {r}-coloring of the N = {N} pattern graph: "
-            f"{u} and {v} share a color")
-    return Coloring(N=N, r=r, colors=cols)
+            f"{wit.sum} and {wit.prod} share a color")
+    return coloring
 
 
 def _bipartite_certificate(graph: PatternGraph):
@@ -139,9 +137,7 @@ def _extract_cycle(u: int, v: int, parent: dict) -> list:
     while w not in anc_set:
         path_v.append(w)
         w = parent[w]
-    lca = w
-    cycle = anc_u[: anc_u.index(lca) + 1] + list(reversed(path_v))
-    return cycle
+    return anc_u[: anc_set[w] + 1] + list(reversed(path_v))  # w: the LCA
 
 
 def verify_odd_cycle(cycle: list, graph: PatternGraph) -> bool:
@@ -255,8 +251,9 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
     A not-colorable verdict carries its witness: the forced edge
     (r = 1), an odd cycle (r = 2) or the exhausted DSATUR trace
     (r >= 3).  A colorable verdict carries the coloring, which is
-    checked first; a color outside [0, r) or a clash on an edge raises
-    RuntimeError, since it can only come from a fault in the search.
+    checked first; a color outside [0, r) or a monochromatic {x+y, xy}
+    raises RuntimeError, since it can only come from a fault in the
+    search or its graph.
     The r >= 3 search gives up as "indeterminate" past the
     time.monotonic() deadline, if one is given.
     """
@@ -282,7 +279,7 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
         cert.verdict, assignment, cert.trace = _dsatur_decide(
             graph, r, node_budget, deadline)
     if cert.verdict == "colorable":
-        cert.coloring = _checked_coloring(graph, r, assignment)
+        cert.coloring = _checked_coloring(N, r, assignment)
     return cert
 
 

@@ -36,27 +36,26 @@ _REMAINDER_SHARE = 0.4   # the Taylor remainder's share of that width
 _MAX_HALVINGS = 60       # a guard: the default needs about three
 
 
-def _tables_for(R: float) -> MultiplicativeTables:
-    """Tables up to floor(R), every modulus read, after checking R."""
+def _selberg_series(R: float, variant: str) -> tuple[float, list]:
+    """(normalizer, [(q, mu(q)/phi(q)) for squarefree q <= R]).
+
+    The normalizer is sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for
+    variant "mu"; R and variant are checked first.
+    """
     if R < 3:
         raise DomainError("degenerate sieve level: need R >= 3")
     if R * R > 10 ** 5:
         raise CapacityError("R^2 exceeds the desk budget 1e5")
-    return MultiplicativeTables.build(int(math.floor(R)))
-
-
-def _normalizer(tables: MultiplicativeTables, variant: str) -> float:
-    """sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for variant "mu",
-    over the tables, which end at floor(R) (_tables_for)."""
     if variant not in ("mu_squared", "mu"):
         raise DomainError(f"unknown variant {variant!r}")
+    tables = MultiplicativeTables.build(int(math.floor(R)))
     mob, phi = tables.mobius, tables.phi
-    normalizer = math.fsum(
-        (mob[q] if variant == "mu" else 1.0) / phi[q]
-        for q in tables.squarefree_up_to(tables.limit).tolist())
+    sq = tables.squarefree_up_to(tables.limit).tolist()
+    normalizer = math.fsum((mob[q] if variant == "mu" else 1.0) / phi[q]
+                           for q in sq)
     if abs(normalizer) < 1e-12:  # only the alternating sum can vanish
         raise DomainError("mu-variant normalizer vanishes at this R")
-    return normalizer
+    return normalizer, [(q, mob[q] / phi[q]) for q in sq]
 
 
 def selberg_majorant(X: int, R: float,
@@ -66,16 +65,10 @@ def selberg_majorant(X: int, R: float,
     The inner sum is sum_{q<=R} (mu(q)/phi(q)) c_q(n), one Ramanujan
     series over the squarefree q <= R.
     """
-    tables = _tables_for(R)
+    normalizer, series = _selberg_series(R, variant)
     if X < 4:
         raise DomainError("X too small")
-    normalizer = _normalizer(tables, variant)
-    mob, phi = tables.mobius, tables.phi
-    inner = _basis_sum_on_range(
-        [(q, mob[q] / phi[q])
-         for q in tables.squarefree_up_to(tables.limit).tolist()],
-        X, X)
-    return inner ** 2 / normalizer
+    return _basis_sum_on_range(series, X, X) ** 2 / normalizer
 
 
 @dataclass
@@ -100,15 +93,10 @@ def ramanujan_expand(R: float,
     c_{q1} c_{q2} equals c_a c_b prod_{p | g} ((p-1) + (p-2) c_p), and
     expanding the product over subsets d | g lands each term on c_{abd}.
     """
-    tables = _tables_for(R)
-    normalizer = _normalizer(tables, variant)
-    mob, phi = tables.mobius, tables.phi
-    sq = tables.squarefree_up_to(tables.limit).tolist()
+    normalizer, series = _selberg_series(R, variant)
     coeffs: dict[int, float] = {}
-    for q1 in sq:
-        w1 = mob[q1] / phi[q1]
-        for q2 in sq:
-            w = w1 * (mob[q2] / phi[q2])
+    for q1, w1 in series:
+        for q2, w2 in series:
             g = math.gcd(q1, q2)
             ab = (q1 // g) * (q2 // g)
             primes_g = [p for p, _ in factorize(g)]
@@ -118,7 +106,7 @@ def ramanujan_expand(R: float,
                 for p in primes_g:
                     factor *= (p - 2) if d % p == 0 else (p - 1)
                 key = ab * d
-                coeffs[key] = coeffs.get(key, 0.0) + w * factor
+                coeffs[key] = coeffs.get(key, 0.0) + w1 * w2 * factor
     c = {q: v / normalizer for q, v in coeffs.items() if abs(v) > 0.0}
     return SieveCoefficients(normalizer=normalizer, c=c)
 

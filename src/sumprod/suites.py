@@ -181,6 +181,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, draws: int = 200) -> list:
     if name not in _DRAWERS:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{suite_names()}")
+    if draws < 1:
+        raise DomainError(f"need draws >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     drawer = _DRAWERS[name]
     fixed_n = _PROJ_N.get(name)

@@ -147,6 +147,43 @@ class TestExitCodes:
         assert "exponent must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_malformed_coloring_file_is_a_config_error(self, tmp_path,
+                                                       capsys):
+        col = tmp_path / "col.json"
+        out = str(tmp_path / "o")
+        for text in ['{"N": 3, "r": 2}', '{"r": 2, "runs": [[0, 3]]}',
+                     '[[0, 3]]']:
+            col.write_text(text)
+            for cmd in ("detect", "richness"):
+                assert run([cmd, "--coloring", str(col),
+                            "--output", out]) == 2
+                assert "N, r and runs" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_config_not_an_object_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = str(tmp_path / "o")
+        assert run(["extremal", "--config", str(cfg), "--output", out]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_no_draws_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        for draws in ("0", "-3"):
+            assert run(["lemma-check", "--name", "shift", "--draws", draws,
+                        "--output", out]) == 2
+            assert "draws >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_degenerate_weyl_grid_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        for grid in ("0", "15"):
+            assert run(["dioph", "--mode", "weyl", "--X", "1000", "--grid",
+                        grid, "--output", out]) == 2
+            assert "grid too small" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bound_failure(self, tmp_path):
         # an absurdly tight exponent makes the structure check fail
         out = str(tmp_path / "o")

@@ -115,6 +115,13 @@ class TestRLE:
             assert (back.N, back.r) == (c.N, c.r)
             assert np.array_equal(back.colors, c.colors)
 
+    @pytest.mark.parametrize("text", [
+        '{"N": 3, "r": 2}', '{"r": 2, "runs": [[0, 3]]}',
+        '{"N": 3, "runs": [[0, 3]]}', '[[0, 3]]', '3'])
+    def test_malformed_json_raises(self, text):
+        with pytest.raises(DomainError, match="N, r and runs"):
+            Coloring.from_rle_json(text)
+
 
 class TestPartitionIdentity:
     def test_exact_rational(self):

@@ -509,6 +509,14 @@ class TestVonMangoldt:
         at_zero = [r for r in rep.rows if r.theta == 0.0]
         assert at_zero and at_zero[0].q == 1
 
+    def test_weyl_grid_too_small(self, tables_1e5):
+        # the same floor as dioph_verify; M = 0 used to divide by zero
+        for M in (0, 1, 15):
+            with pytest.raises(DomainError, match="grid too small"):
+                weyl_structure_scan(tables_1e5, 1000, 1, 0.2, grid_points=M)
+        assert weyl_structure_scan(tables_1e5, 1000, 1, 0.2,
+                                   grid_points=16).grid_points == 16
+
     def test_weyl_minor_arc_unobligated(self, tables_1e5):
         # a generic irrational point: |sum| < eps X, so no row nearby
         rep = weyl_structure_scan(tables_1e5, 10 ** 4, 1, 0.2,

@@ -389,6 +389,17 @@ class TestColoringReverified:
         with pytest.raises(RuntimeError, match="improper 2-coloring"):
             colorability(12, 2)
 
+    def test_graph_missing_an_edge_raises(self, monkeypatch):
+        # the coloring is checked against the pattern, not the graph: a
+        # graph of [12] without its one edge (7, 12) must not certify
+        # the all-zero coloring
+        monkeypatch.setattr(search, "pattern_graph",
+                            lambda N: search.PatternGraph(N=N, edges=[],
+                                                          adj={}))
+        with pytest.raises(RuntimeError, match="improper 1-coloring.*"
+                                               "7 and 12 share a color"):
+            colorability(12, 1)
+
     @pytest.mark.parametrize("bad", [3, -1])
     def test_color_out_of_range_raises(self, monkeypatch, bad):
         # a search fault, not a configuration error (DomainError, exit 2)

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from sumprod.errors import DomainError
 from sumprod.suites import records_to_csv, run_suite, suite_names
 
 
@@ -43,3 +44,10 @@ class TestSuitesPinned:
         csv_text = records_to_csv(run_suite(name, seed=1729, draws=200), name)
         digest = hashlib.sha256(csv_text.encode()).hexdigest()
         assert digest == self.DIGESTS[name]
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_no_draws_raises(draws):
+    # zero records would pass every ceiling without checking anything
+    with pytest.raises(DomainError, match="draws >= 1"):
+        run_suite("shift", draws=draws)
