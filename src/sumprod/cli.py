@@ -42,24 +42,22 @@ EXIT_CAPACITY = 3
 EXIT_BUDGET = 4
 
 
-def _write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(outdir: str, name: str, text: str):
+    """Write one artifact file; every artifact goes through here."""
+    os.makedirs(outdir or ".", exist_ok=True)
+    with open(os.path.join(outdir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(text)
 
 
-def _emit_json(outdir: str, name: str, payload: dict, header: dict) -> str:
-    path = os.path.join(outdir, name)
-    _write(path, json.dumps({"config": header, "result": payload},
-                            sort_keys=True, indent=1) + "\n")
-    return path
+def _emit_json(outdir: str, name: str, payload: dict, header: dict):
+    _emit(outdir, name, json.dumps({"config": header, "result": payload},
+                                   sort_keys=True, indent=1) + "\n")
 
 
-def _emit_csv(outdir: str, name: str, rows: list) -> str:
-    path = os.path.join(outdir, name)
-    _write(path, "\n".join(",".join(str(c) for c in row) for row in rows)
-           + "\n")
-    return path
+def _emit_csv(outdir: str, name: str, rows: list):
+    _emit(outdir, name,
+          "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
 
 
 def _header(args, keys) -> dict:
@@ -69,29 +67,32 @@ def _header(args, keys) -> dict:
     return resolved
 
 
-def _load_config_defaults(parser: argparse.ArgumentParser, argv):
-    """Apply config-file values as parser defaults (flags still win).
+def _config_flags(parser: argparse.ArgumentParser, args) -> list:
+    """The --config file's values as flags of the parsed subcommand.
 
-    Subparsers parse into their own namespace, so the defaults must be
-    installed on every subcommand parser as well.
+    A key, with `-` read as `_`, must name one of the subcommand's own
+    flags; true gives the bare flag, false and null leave it out.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        try:
-            with open(known.config, "r", encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        if not isinstance(values, dict):
-            parser.error("config file must hold a JSON object")
-        mapped = {k.replace("-", "_"): v for k, v in values.items()}
-        parser.set_defaults(**mapped)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    sub.set_defaults(**mapped)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    if not isinstance(values, dict):
+        parser.error("config file must hold a JSON object")
+    values = {k.replace("-", "_"): v for k, v in values.items()}
+    unknown = sorted(set(values) - (set(vars(args))
+                                    - {"func", "command", "config"}))
+    if unknown:
+        parser.error(f"config keys that name no {args.command} flag: "
+                     + ", ".join(map(repr, unknown)))
+    return ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
+            for k, v in values.items() if v is not None and v is not False]
+
+
+def _read_coloring(path: str) -> Coloring:
+    with open(path, "r", encoding="utf-8") as fh:
+        return Coloring.from_rle_json(fh.read())
 
 
 # -- subcommand implementations -----------------------------------------
@@ -117,8 +118,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        col = Coloring.from_rle_json(fh.read())
+    col = _read_coloring(args.coloring)
     wit = find_monochromatic(col)
     payload = {"N": col.N, "r": col.r,
                "witness": None if wit is None else vars(wit)}
@@ -188,8 +188,8 @@ def _cmd_norms(args) -> int:
 
 def _cmd_lemma_check(args) -> int:
     records = run_suite(args.name, seed=args.seed, draws=args.draws)
-    csv_text = records_to_csv(records, args.name)
-    _write(os.path.join(args.output, f"lemma_{args.name}.csv"), csv_text)
+    _emit(args.output, f"lemma_{args.name}.csv",
+          records_to_csv(records, args.name))
     ceiling = SUITE_CONSTANTS[args.name]
     mr, pr = max_ratio(records), pass_rate(records)
     ok = mr <= ceiling and pr == 1.0
@@ -263,8 +263,7 @@ def _cmd_sieve(args) -> int:
     _emit_json(args.output, "sieve_report.json", json.loads(rep.to_json()),
                _header(args, ["X", "R", "Q", "cexp", "A", "variant"]))
     if args.export_decomposition:
-        _write(os.path.join(args.output, "decomposition.json"),
-               dec.export_json() + "\n")
+        _emit(args.output, "decomposition.json", dec.export_json() + "\n")
     ok = all(rep.checks.values())
     print(f"sieve X={args.X} R={args.R:.4g} Q={args.Q}: "
           f"floor/logR={rep.majorant_min_prime_over_logR:.3f} "
@@ -274,11 +273,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_richness(args) -> int:
-    if args.coloring:
-        with open(args.coloring, "r", encoding="utf-8") as fh:
-            col = Coloring.from_rle_json(fh.read())
-    else:
-        col = extremal_coloring(args.r)
+    col = (_read_coloring(args.coloring) if args.coloring
+           else extremal_coloring(args.r))
     cfg = RichnessConfig(V=args.V, imax=args.imax,
                          prime_windows=tuple(_parse_intervals(args.windows)),
                          kmax=args.kmax)
@@ -301,14 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "extremal colorings, exact thresholds, averaging and "
                     "projection defect suites, diophantine spectrum scans, "
                     "and the Selberg-majorant band decomposition.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default parameters")
-    common.add_argument("--output", default="sumprod-out",
-                        help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        p = sub.add_parser(name, **kw)
+        p.add_argument("--config",
+                       help="JSON file holding an object whose keys are "
+                            "this subcommand's flags; a flag on the "
+                            "command line wins")
+        p.add_argument("--output", default="sumprod-out",
+                       help="output directory for artifacts")
+        return p
 
     p = add_parser("extremal",
                    help="build the interval coloring of [(3^r+7)/2] "
@@ -416,8 +415,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _load_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            # file flags first: argparse checks each, the command line wins
+            args = parser.parse_args(
+                argv[:1] + _config_flags(parser, args) + argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on bad usage or config: the config-error code
         return int(exc.code) if exc.code else EXIT_OK

@@ -92,8 +92,9 @@ def extremal_coloring(r: int) -> Coloring:
     if r < 1:
         raise DomainError("need r >= 1")
     N = (3 ** r + 7) // 2
-    if N > INT_BUDGET:
-        raise CapacityError(f"N = (3^{r}+7)/2 exceeds the integer budget")
+    if 8 * N > np.iinfo(np.int64).max:  # numpy's largest array, in bytes
+        raise CapacityError(f"the int64 colors of N = (3^{r}+7)/2 "
+                            f"exceed 2^63 - 1 bytes")
     bounds = [(3 ** i + 9) // 2 for i in range(r + 1)]  # a_0 .. a_r
     cols = np.zeros(N, dtype=np.int64)
     for i in range(r):

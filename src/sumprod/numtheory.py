@@ -246,12 +246,7 @@ class MultiplicativeTables:
 
     @classmethod
     def build(cls, limit: int) -> "MultiplicativeTables":
-        if limit < 2:
-            raise DomainError("table limit must be >= 2")
-        if limit > SIEVE_LIMIT_BUDGET:
-            raise CapacityError(
-                f"table limit {limit} exceeds budget {SIEVE_LIMIT_BUDGET}")
-        table = sieve_primes(limit)
+        table = sieve_primes(limit)  # checks limit >= 2 and the budget
         primes = table.primes_array()
 
         mob = np.ones(limit + 1, dtype=np.int64)

@@ -9,7 +9,8 @@ backtracking with symmetry breaking under a node budget (Brelaz, CACM
 1979).  The search runs on an explicit stack, so its depth is not
 bounded by the recursion limit, and picks vertices from one bitset of
 uncolored vertices per saturation level instead of scanning them all.
-Every coloring is checked by find_monochromatic before it is returned.
+Every coloring is checked by find_monochromatic before it is returned,
+and every r <= 2 refutation against the pattern's definition.
 sp_number runs one scan for every r and keeps only a coloring: each
 product N takes the first color its pair sums leave free, and the scan
 re-solves exactly only where no color is free.
@@ -18,6 +19,7 @@ re-solves exactly only where no color is free.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,29 +41,22 @@ class PatternGraph:
 
 
 def _edges_with_product(p: int) -> list:
-    """All (x+y, xy) with x > y > 2 and xy == p."""
-    out = []
-    y = 3
-    while y * y < p:
-        if p % y == 0:
-            x = p // y
-            if x > y:
-                out.append((x + y, p))
-        y += 1
-    return out
+    """All (x+y, xy) with x > y > 2 and xy == p (y^2 < p gives x > y)."""
+    return [(p // y + y, p) for y in range(3, math.isqrt(p - 1) + 1)
+            if p % y == 0]
 
 
 def pattern_graph(N: int) -> PatternGraph:
     if N < 7:
         raise DomainError("need N >= 7")
-    # no edge repeats: the pairs of one product have distinct sums
+    # edges are distinct and sorted: a vertex meets its smaller neighbours
+    # (as the product) before its larger ones, so each list comes sorted
     edges = sorted(e for p in range(12, N + 1) for e in _edges_with_product(p))
-    adj: dict[int, set] = {}
+    adj: dict[int, list] = {}
     for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return PatternGraph(N=N, edges=edges,
-                        adj={v: sorted(ns) for v, ns in adj.items()})
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return PatternGraph(N=N, edges=edges, adj=adj)
 
 
 @dataclass
@@ -140,13 +135,28 @@ def _extract_cycle(u: int, v: int, parent: dict) -> list:
     return anc_u[: anc_set[w] + 1] + list(reversed(path_v))  # w: the LCA
 
 
-def verify_odd_cycle(cycle: list, graph: PatternGraph) -> bool:
+def _is_edge(a: int, b: int, N: int) -> bool:
+    """Is {a, b} an edge of the [N] pattern, from its definition alone?
+
+    With u < v it is iff v <= N and x + y = u, xy = v for some
+    x > y > 2: x and y are the roots of t^2 - u t + v, so u^2 - 4v = d^2
+    with d = x - y > 0 and y = (u - d)/2 an integer > 2.
+    """
+    u, v = sorted((a, b))
+    disc = u * u - 4 * v
+    if v > N or disc <= 0:
+        return False
+    d = math.isqrt(disc)
+    return d * d == disc and (u - d) % 2 == 0 and (u - d) // 2 > 2
+
+
+def verify_odd_cycle(cycle: list, N: int) -> bool:
+    """Is cycle a closed odd walk in the [N] pattern graph?  Checked
+    against the pattern's definition, not against a built graph."""
     if len(cycle) % 2 == 0 or len(cycle) < 3:
         return False
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if b not in graph.adj.get(a, []):
-            return False
-    return True
+    return all(_is_edge(a, b, N)
+               for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -250,10 +260,12 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
 
     A not-colorable verdict carries its witness: the forced edge
     (r = 1), an odd cycle (r = 2) or the exhausted DSATUR trace
-    (r >= 3).  A colorable verdict carries the coloring, which is
-    checked first; a color outside [0, r) or a monochromatic {x+y, xy}
-    raises RuntimeError, since it can only come from a fault in the
-    search or its graph.
+    (r >= 3); the edge and the cycle are checked against the pattern's
+    definition first.  A colorable verdict carries the coloring, which
+    is checked first too; a color outside [0, r), a monochromatic
+    {x+y, xy} or a witness that is not the pattern's raises
+    RuntimeError, since it can only come from a fault in the search or
+    its graph.
     The r >= 3 search gives up as "indeterminate" past the
     time.monotonic() deadline, if one is given.
     """
@@ -266,12 +278,18 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
     if r == 1:
         cert.trace = {"nodes": 0, "max_depth": 0}
         if graph.edges:
+            if not _is_edge(*graph.edges[0], N):
+                raise RuntimeError(f"forced edge {graph.edges[0]} is not "
+                                   f"a pattern edge of [{N}]")
             cert.verdict = "not-colorable"
             cert.trace["forced_edge"] = list(graph.edges[0])
     elif r == 2:
         side, cycle = _bipartite_certificate(graph)
         cert.trace = {"nodes": len(graph.edges), "max_depth": 0}
         if cycle is not None:
+            if not verify_odd_cycle(cycle, N):
+                raise RuntimeError(f"{cycle} is not an odd cycle of the "
+                                   f"[{N}] pattern graph")
             cert.verdict, cert.odd_cycle = "not-colorable", cycle
         else:
             assignment = side

@@ -67,7 +67,7 @@ class TestAcceptance:
         ok = ok and find_monochromatic(res2.below.coloring) is None
         ok = ok and res2.at.verdict == "not-colorable"
         g = pattern_graph(res2.n_star)
-        ok = ok and verify_odd_cycle(res2.at.odd_cycle, g)
+        ok = ok and verify_odd_cycle(res2.at.odd_cycle, res2.n_star)
 
         # independent bipartiteness oracle: exhaustive when the graph is
         # small enough, parity-BFS otherwise

@@ -3,6 +3,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from sumprod import cli
 from sumprod.cli import main
 from sumprod.coloring import extremal_coloring
@@ -129,6 +131,12 @@ class TestExitCodes:
         assert run(["dioph", "--mode", "verify", "--D", "1000",
                     "--grid", str(2 ** 30), "--output", out]) == 3
 
+    def test_extremal_beyond_numpy_array_size(self, tmp_path, capsys):
+        # 8N > 2^63 - 1 bytes: a capacity error, not numpy's ValueError
+        out = str(tmp_path / "o")
+        assert run(["extremal", "--r", "39", "--output", out]) == 3
+        assert "capacity error:" in capsys.readouterr().err
+
     def test_float_overflow_is_a_config_error(self, tmp_path, capsys):
         # (L'/delta)^L, eps^-exponent and X^m each overflow a float
         out = str(tmp_path / "o")
@@ -205,6 +213,37 @@ class TestConfigPrecedence:
                     "--output", out2]) == 0
         obj = json.load(open(os.path.join(out2, "extremal.json")))
         assert obj["result"]["results"][0]["r"] == 2
+
+
+class TestConfigFile:
+    """A config file's keys are the subcommand's flags, checked by argparse
+    like the command line's."""
+
+    def _run(self, tmp_path, argv, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return run(argv + ["--config", str(cfg),
+                           "--output", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("argv, values, named", [
+        (["extremal"], {"rr": 4}, "'rr'"),
+        (["extremal"], {"func": 1}, "'func'"),
+        (["threshold"], {"t": 5}, "'t'"),  # no prefix of --time-budget
+        (["extremal"], {"r": 4.5}, "--r"),
+        (["sieve"], {"variant": "bogus"}, "--variant"),
+    ], ids=["unknown", "func", "abbreviation", "type", "choice"])
+    def test_bad_key_or_value_is_a_usage_error(self, tmp_path, capsys, argv,
+                                               values, named):
+        assert self._run(tmp_path, argv, values) == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_true_sets_a_store_true_flag(self, tmp_path):
+        assert self._run(tmp_path, ["extremal"],
+                         {"r": 4, "all_up_to": True}) == 0
+        obj = json.load(open(tmp_path / "o" / "extremal.json"))
+        assert obj["config"]["all_up_to"] is True
+        assert [row["r"] for row in obj["result"]["results"]] == [1, 2, 3, 4]
 
 
 class TestDeterminism:

@@ -229,7 +229,7 @@ class TestSpNumber:
         assert find_monochromatic(res.below.coloring) is None
         cycle = res.at.odd_cycle
         g = pattern_graph(res.n_star)
-        assert verify_odd_cycle(cycle, g)
+        assert verify_odd_cycle(cycle, res.n_star)
         assert len(cycle) % 2 == 1
 
     def test_r2_independent_parity_walk(self):
@@ -399,6 +399,31 @@ class TestColoringReverified:
         with pytest.raises(RuntimeError, match="improper 1-coloring.*"
                                                "7 and 12 share a color"):
             colorability(12, 1)
+
+    def test_graph_with_spurious_edge_cannot_refute(self, monkeypatch):
+        # refutations are checked against the pattern, not the graph: with
+        # the non-edge (7, 27), [11] would be refuted by that forced edge
+        # and [53] by the odd cycle 27-7-12
+        build = search.pattern_graph
+
+        def faulty(N):
+            edges = sorted(build(N).edges + [(7, 27)])
+            adj = {}
+            for u, v in edges:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+            return search.PatternGraph(N=N, edges=edges, adj=adj)
+
+        monkeypatch.setattr(search, "pattern_graph", faulty)
+        with pytest.raises(RuntimeError, match=r"forced edge \(7, 27\)"):
+            colorability(11, 1)
+        with pytest.raises(RuntimeError, match="not an odd cycle"):
+            colorability(53, 2)
+
+    def test_verify_odd_cycle_reads_the_definition(self):
+        assert verify_odd_cycle(colorability(54, 2).odd_cycle, 54)
+        assert not verify_odd_cycle([27, 7, 12], 53)  # (7, 27) no edge
+        assert not verify_odd_cycle(colorability(54, 2).odd_cycle, 53)
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_color_out_of_range_raises(self, monkeypatch, bad):
