@@ -67,25 +67,28 @@ def _header(args, keys) -> dict:
     return resolved
 
 
-def _config_flags(parser: argparse.ArgumentParser, args) -> list:
+def _config_flags(args) -> list:
     """The --config file's values as flags of the parsed subcommand.
 
     A key, with `-` read as `_`, must name one of the subcommand's own
-    flags; true gives the bare flag, false and null leave it out.
+    flags; true gives the bare flag, false and null leave it out.  A
+    bad file or key is reported under the subcommand's usage.
     """
+    error = args.parser.error
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+        error(f"cannot read config file: {exc}")
     if not isinstance(values, dict):
-        parser.error("config file must hold a JSON object")
+        error("config file must hold a JSON object")
     values = {k.replace("-", "_"): v for k, v in values.items()}
     unknown = sorted(set(values) - (set(vars(args))
-                                    - {"func", "command", "config"}))
+                                    - {"func", "parser", "command",
+                                       "config"}))
     if unknown:
-        parser.error(f"config keys that name no {args.command} flag: "
-                     + ", ".join(map(repr, unknown)))
+        error(f"config keys that name no {args.command} flag: "
+              + ", ".join(map(repr, unknown)))
     return ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
             for k, v in values.items() if v is not None and v is not False]
 
@@ -301,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, **kw):
         p = sub.add_parser(name, **kw)
+        p.set_defaults(parser=p)  # _config_flags reports under its usage
         p.add_argument("--config",
                        help="JSON file holding an object whose keys are "
                             "this subcommand's flags; a flag on the "
@@ -419,7 +423,7 @@ def main(argv=None) -> int:
         if args.config:
             # file flags first: argparse checks each, the command line wins
             args = parser.parse_args(
-                argv[:1] + _config_flags(parser, args) + argv[1:])
+                argv[:1] + _config_flags(args) + argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on bad usage or config: the config-error code
         return int(exc.code) if exc.code else EXIT_OK

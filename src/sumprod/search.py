@@ -175,8 +175,11 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
     colors, so the pick is the lowest bit of the highest non-empty
     level, and has[c] holds the ranks with a neighbour colored c (the
     per-vertex color masks, stored by color).  The backtracking runs
-    on an explicit stack of (vertex, color, used, touched) frames,
-    touched being the neighbours that color moved up one level.
+    on an explicit stack of (low, nb, color, used, touched, s) frames:
+    the picked vertex's bit and neighbour bitset, its color, the colors
+    in use before it, the neighbours that color moved up one level and
+    the saturation s it was picked at, so a vertex whose every color
+    fails goes back to level[s] without a scan of has.
     Past the time.monotonic() deadline, checked every 1024 nodes, the
     verdict is "indeterminate", as when the node budget runs out.
     """
@@ -193,14 +196,15 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
     uncolored = (1 << len(order)) - 1
     level = [uncolored] + [0] * r
     has = [0] * r
-    stack: list[tuple[int, int, int, int]] = []
+    up = range(r - 1, -1, -1)
+    down = range(1, r + 1)
+    stack: list[tuple[int, int, int, int, int, int]] = []
     nodes = 0
     max_depth = 0
     used = 0
     verdict = None
     while verdict is None:
         # enter a search node at depth len(stack)
-        max_depth = max(max_depth, len(stack))
         if not uncolored:
             verdict = "colorable"
             break
@@ -213,36 +217,40 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
         while not level[s]:
             s -= 1
         low = level[s] & -level[s]
-        i = low.bit_length() - 1
         level[s] ^= low
         uncolored ^= low
+        nb = nbrs[low.bit_length() - 1]
         c = 0
         while True:
-            limit = min(used + 1, r)  # symmetry: at most one fresh color
+            limit = used + 1 if used < r else r  # at most one fresh color
             while c < limit and has[c] & low:
                 c += 1
             if c < limit:
                 nodes += 1
-                touched = nbrs[i] & uncolored & ~has[c]
+                touched = nb & uncolored & ~has[c]
                 has[c] |= touched
-                for t in range(r - 1, -1, -1):
+                for t in up:
                     moved = level[t] & touched
                     if moved:
                         level[t] ^= moved
                         level[t + 1] |= moved
-                stack.append((i, c, used, touched))
-                used = max(used, c + 1)
+                stack.append((low, nb, c, used, touched, s))
+                if c == used:
+                    used += 1
+                if len(stack) > max_depth:
+                    max_depth = len(stack)
                 break
-            # every color failed: uncolor i and resume its parent
-            level[sum(1 for h in has if h & low)] |= low
+            # every color failed: uncolor the vertex and resume its
+            # parent.  Each deeper change to has is undone by now, so the
+            # vertex has the s neighbour colors it was picked with.
+            level[s] |= low
             uncolored |= low
             if not stack:
                 verdict = "not-colorable"
                 break
-            i, c, used, touched = stack.pop()
-            low = 1 << i
+            low, nb, c, used, touched, s = stack.pop()
             has[c] ^= touched
-            for t in range(1, r + 1):
+            for t in down:
                 moved = level[t] & touched
                 if moved:
                     level[t] ^= moved
@@ -251,7 +259,8 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
     trace = {"nodes": nodes, "max_depth": max_depth}
     if verdict != "colorable":
         return verdict, {}, trace
-    return verdict, {order[i]: c for i, c, _, _ in stack}, trace
+    return verdict, {order[low.bit_length() - 1]: c
+                     for low, _, c, _, _, _ in stack}, trace
 
 
 def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,

@@ -238,6 +238,16 @@ class TestConfigFile:
         assert named in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("values", [{"rr": 4}, {"parser": 1}, [1]],
+                             ids=["unknown", "parser", "not-an-object"])
+    def test_bad_config_reported_under_subcommand_usage(self, tmp_path,
+                                                        capsys, values):
+        assert self._run(tmp_path, ["extremal"], values) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sumprod extremal ")
+        assert "--all-up-to" in err
+        assert "sumprod extremal: error: " in err
+
     def test_true_sets_a_store_true_flag(self, tmp_path):
         assert self._run(tmp_path, ["extremal"],
                          {"r": 4, "all_up_to": True}) == 0

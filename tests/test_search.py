@@ -1,15 +1,17 @@
 import hashlib
 import itertools
+import random
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from sumprod import search
 from sumprod.coloring import find_monochromatic
 from sumprod.errors import DomainError
-from sumprod.search import (colorability, pattern_graph, sp_number,
-                            verify_odd_cycle)
+from sumprod.search import (PatternGraph, colorability, pattern_graph,
+                            sp_number, verify_odd_cycle)
 
 
 def brute_force_edges(N):
@@ -214,6 +216,140 @@ class TestSearchTreePinned:
         assert calls == resolves
 
 
+# A frozen copy of search._dsatur_decide from before its frames kept the
+# vertex bit and the saturation: the body is unchanged, so the library's
+# engine must walk the same tree and return the same result.
+def reference_dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
+                            deadline: float | None):
+    """Exists a proper r-coloring?  (verdict, assignment, trace).
+
+    DSATUR order: most distinct neighbour colors, then highest degree,
+    then smallest vertex; symmetry broken by allowing at most one fresh
+    color per step (so the first vertex gets color 0, the second at
+    most color 1).  Vertices are ranked once by (-degree, vertex) and
+    every vertex set is a Python-int bitset over those ranks:
+    level[s] holds the uncolored ranks with s distinct neighbour
+    colors, so the pick is the lowest bit of the highest non-empty
+    level, and has[c] holds the ranks with a neighbour colored c (the
+    per-vertex color masks, stored by color).  The backtracking runs
+    on an explicit stack of (vertex, color, used, touched) frames,
+    touched being the neighbours that color moved up one level.
+    Past the time.monotonic() deadline, checked every 1024 nodes, the
+    verdict is "indeterminate", as when the node budget runs out.
+    """
+    verts = graph.vertices
+    if not verts:
+        return "colorable", {}, {"nodes": 0, "max_depth": 0}
+    adj = graph.adj
+    # the symmetry rule never reaches color len(verts), so the per-color
+    # and per-level lists need no more entries than that
+    r = min(r, len(verts))
+    order = sorted(verts, key=lambda v: (-len(adj[v]), v))
+    rank = {v: i for i, v in enumerate(order)}
+    nbrs = [sum(1 << rank[u] for u in adj[v]) for v in order]
+    uncolored = (1 << len(order)) - 1
+    level = [uncolored] + [0] * r
+    has = [0] * r
+    stack: list[tuple[int, int, int, int]] = []
+    nodes = 0
+    max_depth = 0
+    used = 0
+    verdict = None
+    while verdict is None:
+        # enter a search node at depth len(stack)
+        max_depth = max(max_depth, len(stack))
+        if not uncolored:
+            verdict = "colorable"
+            break
+        if nodes >= node_budget or (
+                deadline is not None and not nodes & 1023
+                and time.monotonic() > deadline):
+            verdict = "indeterminate"
+            break
+        s = r
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        i = low.bit_length() - 1
+        level[s] ^= low
+        uncolored ^= low
+        c = 0
+        while True:
+            limit = min(used + 1, r)  # symmetry: at most one fresh color
+            while c < limit and has[c] & low:
+                c += 1
+            if c < limit:
+                nodes += 1
+                touched = nbrs[i] & uncolored & ~has[c]
+                has[c] |= touched
+                for t in range(r - 1, -1, -1):
+                    moved = level[t] & touched
+                    if moved:
+                        level[t] ^= moved
+                        level[t + 1] |= moved
+                stack.append((i, c, used, touched))
+                used = max(used, c + 1)
+                break
+            # every color failed: uncolor i and resume its parent
+            level[sum(1 for h in has if h & low)] |= low
+            uncolored |= low
+            if not stack:
+                verdict = "not-colorable"
+                break
+            i, c, used, touched = stack.pop()
+            low = 1 << i
+            has[c] ^= touched
+            for t in range(1, r + 1):
+                moved = level[t] & touched
+                if moved:
+                    level[t] ^= moved
+                    level[t - 1] |= moved
+            c += 1
+    trace = {"nodes": nodes, "max_depth": max_depth}
+    if verdict != "colorable":
+        return verdict, {}, trace
+    return verdict, {order[i]: c for i, c, _, _ in stack}, trace
+
+
+_GRAPHS = {}
+
+
+def _graph(N):
+    if N not in _GRAPHS:
+        _GRAPHS[N] = pattern_graph(N)
+    return _GRAPHS[N]
+
+
+class TestSearchMatchesReference:
+    """The library's DSATUR against the frozen reference engine: the same
+    verdict, assignment and trace on a seeded sample of N, at r = 3 and 4
+    and at node budgets that cut the search at its first nodes, inside a
+    backtrack and not at all."""
+
+    SAMPLE = sorted(random.Random(1979).sample(range(12, 1501), 6)) + [774]
+
+    @pytest.mark.parametrize("budget", [1, 2, 1000, 30000,
+                                        search.DEFAULT_NODE_BUDGET])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_same_result(self, r, budget):
+        for N in self.SAMPLE:
+            got = search._dsatur_decide(_graph(N), r, budget, None)
+            want = reference_dsatur_decide(_graph(N), r, budget, None)
+            assert got == want, (N, r, budget)
+
+    # at r = 4 no N <= 1500 backtracks (nodes == max_depth); the search
+    # of [4592], where sp_number(4) runs out of nodes, does
+    @pytest.mark.parametrize("N, r", [(774, 3), (4592, 4)])
+    def test_cut_inside_a_backtrack(self, N, r):
+        verdict, assignment, trace = search._dsatur_decide(
+            _graph(N), r, 30000, None)
+        # the search has backed up from depth max_depth, at least once
+        assert verdict == "indeterminate" and assignment == {}
+        assert trace["nodes"] == 30000 and trace["max_depth"] < 30000
+        assert (verdict, assignment, trace) == reference_dsatur_decide(
+            _graph(N), r, 30000, None)
+
+
 class TestSpNumber:
     def test_r1_is_12(self):
         res = sp_number(1)
@@ -284,14 +420,37 @@ class TestSpNumber:
         else:
             assert res.note
 
-    def test_time_budget_stops_inside_the_774_search(self):
-        # the unbudgeted scan takes about 1 s, most of it refuting 774
-        t0 = time.monotonic()
+    def test_time_budget_stops_inside_the_774_search(self, monkeypatch):
+        # A clock that stands still until the 774 search starts and then
+        # moves 0.125 s per reading, so the verdict does not depend on
+        # the machine's speed: the 0.4 s budget runs out at the search's
+        # fourth deadline check (node 3072 of the 87,982 that refute
+        # 774), and a scan that read the clock only between values of N
+        # would finish that refutation and return n_star = 774.
+        clock = {"now": 0.0, "running": False}
+
+        def monotonic():
+            if clock["running"]:
+                clock["now"] += 0.125
+            return clock["now"]
+
+        certs = {}
+        real = search.colorability
+
+        def spy(N, r, *args):
+            clock["running"] = clock["running"] or N == 774
+            certs[N] = real(N, r, *args)
+            return certs[N]
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(
+            monotonic=monotonic))
+        monkeypatch.setattr(search, "colorability", spy)
         res = sp_number(3, nmax=800, time_budget_s=0.4)
-        elapsed = time.monotonic() - t0
         assert res.n_star is None and res.note == "time budget exhausted"
-        assert res.exhausted_at <= 774
-        assert elapsed < 0.7
+        assert res.exhausted_at == 774
+        assert certs[774].verdict == "indeterminate"
+        assert certs[774].trace["nodes"] == 3072
+        assert clock["now"] < 0.7
 
     def test_past_deadline_is_indeterminate_at_once(self):
         cert = colorability(774, 3, deadline=time.monotonic() - 1.0)
