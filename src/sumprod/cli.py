@@ -169,7 +169,6 @@ def _cmd_norms(args) -> int:
     reach = max(q * h for q in qs for h in hs)
     f = _make_function(args.function, args.alpha, args.seed,
                        1 - 2 * reach, args.N + 3 * reach)
-    table = []
     for q in qs:
         for h in hs:
             p = NormParams(args.N, q, h)
@@ -178,14 +177,11 @@ def _cmd_norms(args) -> int:
                 nl, nu = u1log_norm(f, p), u1_norm(f, p)
                 np_ = u1log_norm(project(f, q, h), p)
             rows.append([q, h, repr(nl), repr(nu), repr(np_)])
-            table.append({"q": q, "H": h, "u1log": nl, "u1": nu,
-                          "u1log_projected": np_})
     _emit_csv(args.output, "norms.csv", rows)
     _emit_json(args.output, "norms.json",
-               {"table": [{k: (repr(v) if isinstance(v, float) else v)
-                           for k, v in row.items()} for row in table]},
+               {"table": [dict(zip(rows[0], row)) for row in rows[1:]]},
                _header(args, ["N", "q", "H", "function", "alpha", "seed"]))
-    print(f"norms table: {len(table)} rows -> norms.csv")
+    print(f"norms table: {len(rows) - 1} rows -> norms.csv")
     return EXIT_OK
 
 
@@ -302,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the Selberg-majorant band decomposition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
+    def add_parser(name, func, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(parser=p)  # _config_flags reports under its usage
+        p.set_defaults(func=func, parser=p)  # _config_flags errors under p
         p.add_argument("--config",
                        help="JSON file holding an object whose keys are "
                             "this subcommand's flags; a flag on the "
@@ -313,31 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for artifacts")
         return p
 
-    p = add_parser("extremal",
+    p = add_parser("extremal", _cmd_extremal,
                    help="build the interval coloring of [(3^r+7)/2] "
                         "and verify it has no monochromatic {x+y, xy}")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--all-up-to", action="store_true",
                    help="verify every r' <= r")
-    p.set_defaults(func=_cmd_extremal)
 
-    p = add_parser("detect",
-                       help="load a coloring (RLE JSON) and find the least "
-                            "monochromatic {x+y, xy} witness")
+    p = add_parser("detect", _cmd_detect,
+                   help="load a coloring (RLE JSON) and find the least "
+                        "monochromatic {x+y, xy} witness")
     p.add_argument("--coloring", required=True)
-    p.set_defaults(func=_cmd_detect)
 
-    p = add_parser("threshold",
-                       help="smallest N whose pattern graph is not "
-                            "r-colorable, with certificates")
+    p = add_parser("threshold", _cmd_threshold,
+                   help="smallest N whose pattern graph is not "
+                        "r-colorable, with certificates")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
-    p.set_defaults(func=_cmd_threshold)
 
-    p = add_parser("norms",
-                       help="progression-bias norm tables (log and uniform) "
-                            "and averaging projections")
+    p = add_parser("norms", _cmd_norms,
+                   help="progression-bias norm tables (log and uniform) "
+                        "and averaging projections")
     p.add_argument("--N", type=int, default=10 ** 4)
     p.add_argument("--q", default="1,2,3,4")
     p.add_argument("--H", default="10,40,160")
@@ -345,23 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["const", "phase", "random"])
     p.add_argument("--alpha", type=float, default=0.37)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_norms)
 
-    p = add_parser("lemma-check",
-                       help="seeded defect suite for one averaging or "
-                            "projection inequality (shift, residue-split, "
-                            "frobenius, dilate, elliott, gp-compar, "
-                            "almost-period, proj-check, pythagoras, maximal)")
+    p = add_parser("lemma-check", _cmd_lemma_check,
+                   help="seeded defect suite for one averaging or "
+                        "projection inequality (shift, residue-split, "
+                        "frobenius, dilate, elliott, gp-compar, "
+                        "almost-period, proj-check, pythagoras, maximal)")
     p.add_argument("--name", required=True, choices=suite_names())
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--draws", type=int, default=200)
-    p.set_defaults(func=_cmd_lemma_check)
 
-    p = add_parser("dioph",
-                       help="diophantine spectrum scans: exponential-sum "
-                            "verification over a grid, the rational-"
-                            "approximation counting check, and von Mangoldt "
-                            "polynomial-phase structure scans")
+    p = add_parser("dioph", _cmd_dioph,
+                   help="diophantine spectrum scans: exponential-sum "
+                        "verification over a grid, the rational-"
+                        "approximation counting check, and von Mangoldt "
+                        "polynomial-phase structure scans")
     p.add_argument("--mode", default="verify",
                    choices=["verify", "vino", "weyl"])
     p.add_argument("--set", default="interval",
@@ -383,12 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--exponent", type=float, default=6.0)
-    p.set_defaults(func=_cmd_dioph)
 
-    p = add_parser("sieve",
-                       help="Selberg-type majorant on [X, 2X): Ramanujan "
-                            "expansion, periodic head + dyadic band + "
-                            "remainder decomposition, bound report")
+    p = add_parser("sieve", _cmd_sieve,
+                   help="Selberg-type majorant on [X, 2X): Ramanujan "
+                        "expansion, periodic head + dyadic band + "
+                        "remainder decomposition, bound report")
     p.add_argument("--X", type=int, default=10 ** 5)
     p.add_argument("--R", type=float, default=None,
                    help="sieve level; default X^(1/4) (X^(1/10) is "
@@ -399,19 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="mu_squared",
                    choices=["mu_squared", "mu"])
     p.add_argument("--export-decomposition", action="store_true")
-    p.set_defaults(func=_cmd_sieve)
 
-    p = add_parser("richness",
-                       help="per-color multiple-density table over "
-                            "B0 = {V^(4^i)} plus the pair statistic with "
-                            "prime windows (scaled-down parameters)")
+    p = add_parser("richness", _cmd_richness,
+                   help="per-color multiple-density table over "
+                        "B0 = {V^(4^i)} plus the pair statistic with "
+                        "prime windows (scaled-down parameters)")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--coloring", default=None)
     p.add_argument("--V", type=int, default=2)
     p.add_argument("--imax", type=int, default=2)
     p.add_argument("--windows", default="5:20,20:50")
     p.add_argument("--kmax", type=int, default=2)
-    p.set_defaults(func=_cmd_richness)
     return parser
 
 

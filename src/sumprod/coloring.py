@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -58,12 +59,17 @@ class Coloring:
     @classmethod
     def from_rle_json(cls, text: str) -> "Coloring":
         obj = json.loads(text)
-        if not (isinstance(obj, dict) and {"N", "r", "runs"} <= obj.keys()):
-            raise DomainError("a coloring is a JSON object with N, r "
-                              "and runs")
+        runs = obj.get("runs") if isinstance(obj, dict) else None
+        if not (isinstance(runs, list)
+                and all(isinstance(run, list) and len(run) == 2
+                        for run in runs)
+                and all(type(v) is int  # JSON true is a bool, not an int
+                        for v in chain((obj.get("N"), obj.get("r")), *runs))):
+            raise DomainError("a coloring is a JSON object with integer "
+                              "N, r and runs of [color, length] pairs")
         cols = np.concatenate([np.full(length, c, dtype=np.int64)
-                               for c, length in obj["runs"]]) \
-            if obj["runs"] else np.zeros(0, dtype=np.int64)
+                               for c, length in runs]) \
+            if runs else np.zeros(0, dtype=np.int64)
         return cls(N=obj["N"], r=obj["r"], colors=cols)
 
 
@@ -259,13 +265,12 @@ def _pair_statistic(cols: np.ndarray, color: int, b: int, bp: int,
     return total
 
 
-def partition_identity_exact(c: Coloring, b: int, N: int | None = None):
+def partition_identity_exact(c: Coloring, b: int):
     """Rational check: sum_j E^log 1_{A_j}(bn) == H_{floor(N/b)} / H_N.
 
-    Returns (lhs, rhs) as exact Fractions (both normalized by H_N).
+    Returns (lhs, rhs) as exact Fractions, both multiplied by H_N.
     """
-    N = c.N if N is None else N
-    m = N // b
+    m = c.N // b
     per_color = [Fraction(0)] * c.r
     for n in range(1, m + 1):
         per_color[c.color_of(b * n)] += Fraction(1, n)

@@ -41,17 +41,22 @@ class PatternGraph:
 
 
 def _edges_with_product(p: int) -> list:
-    """All (x+y, xy) with x > y > 2 and xy == p (y^2 < p gives x > y)."""
+    """All (x+y, xy) with x > y > 2 and xy == p (y^2 < p gives x > y).
+
+    The scan's pair sums; pattern_graph walks the pairs on its own, so
+    a fault in either shows up against the other."""
     return [(p // y + y, p) for y in range(3, math.isqrt(p - 1) + 1)
             if p % y == 0]
 
 
 def pattern_graph(N: int) -> PatternGraph:
-    if N < 7:
-        raise DomainError("need N >= 7")
+    if N < 0:
+        raise DomainError("need N >= 0")
+    # one walk of the pairs x > y > 2 with xy <= N, so no edge below 12;
     # edges are distinct and sorted: a vertex meets its smaller neighbours
     # (as the product) before its larger ones, so each list comes sorted
-    edges = sorted(e for p in range(12, N + 1) for e in _edges_with_product(p))
+    edges = sorted((x + y, x * y) for y in range(3, math.isqrt(N) + 1)
+                   for x in range(y + 1, N // y + 1))
     adj: dict[int, list] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
@@ -183,14 +188,12 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
     Past the time.monotonic() deadline, checked every 1024 nodes, the
     verdict is "indeterminate", as when the node budget runs out.
     """
-    verts = graph.vertices
-    if not verts:
-        return "colorable", {}, {"nodes": 0, "max_depth": 0}
     adj = graph.adj
-    # the symmetry rule never reaches color len(verts), so the per-color
-    # and per-level lists need no more entries than that
-    r = min(r, len(verts))
-    order = sorted(verts, key=lambda v: (-len(adj[v]), v))
+    # the symmetry rule never reaches color len(adj), so the per-color
+    # and per-level lists need no more entries than that (none for the
+    # empty graph, which the loop then finds colorable at once)
+    r = min(r, len(adj))
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
     rank = {v: i for i, v in enumerate(order)}
     nbrs = [sum(1 << rank[u] for u in adj[v]) for v in order]
     uncolored = (1 << len(order)) - 1
@@ -280,8 +283,7 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
     """
     if r < 1:
         raise DomainError("need r >= 1")
-    graph = pattern_graph(N) if N >= 7 else PatternGraph(N=N, edges=[],
-                                                         adj={})
+    graph = pattern_graph(N)
     cert = SearchCertificate(r=r, N=N, verdict="colorable")
     assignment: dict = {}
     if r == 1:

@@ -168,6 +168,16 @@ class TestExitCodes:
                 assert "N, r and runs" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_mistyped_coloring_file_is_a_config_error(self, tmp_path,
+                                                      capsys):
+        # wrong types inside the object: exit 2, not a traceback
+        col = tmp_path / "col.json"
+        out = str(tmp_path / "o")
+        col.write_text('{"N": 3, "r": 1, "runs": [[0, 1.5]]}')
+        assert run(["detect", "--coloring", str(col), "--output", out]) == 2
+        assert "N, r and runs" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_config_not_an_object_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

@@ -117,7 +117,11 @@ class TestRLE:
 
     @pytest.mark.parametrize("text", [
         '{"N": 3, "r": 2}', '{"r": 2, "runs": [[0, 3]]}',
-        '{"N": 3, "runs": [[0, 3]]}', '[[0, 3]]', '3'])
+        '{"N": 3, "runs": [[0, 3]]}', '[[0, 3]]', '3',
+        '{"N": 3, "r": 1, "runs": 5}', '{"N": 3, "r": 1, "runs": [[0, 1.5]]}',
+        '{"N": 3, "r": "x", "runs": [[0, 3]]}',
+        '{"N": 3, "r": 1, "runs": [null]}',
+        '{"N": 3, "r": true, "runs": [[0, 3]]}'])
     def test_malformed_json_raises(self, text):
         with pytest.raises(DomainError, match="N, r and runs"):
             Coloring.from_rle_json(text)

@@ -68,6 +68,24 @@ class TestPatternGraph:
         g = pattern_graph(500)
         assert all(u != v for u, v in g.edges)
 
+    def test_every_prefix_matches_brute_force(self):
+        # the graph of [N] is the brute-force edges of product <= N, for
+        # every N >= 0, with each neighbour list sorted
+        brute = brute_force_edges(600)
+        for N in range(601):
+            prefix = [e for e in brute if e[1] <= N]
+            nbrs = {}
+            for u, v in prefix:
+                nbrs.setdefault(u, set()).add(v)
+                nbrs.setdefault(v, set()).add(u)
+            g = pattern_graph(N)
+            assert g.edges == prefix
+            assert g.adj == {v: sorted(ns) for v, ns in nbrs.items()}
+
+    def test_rejects_negative_N(self):
+        with pytest.raises(DomainError):
+            pattern_graph(-1)
+
 
 class TestColorability:
     def test_one_color_forced(self):
@@ -108,6 +126,25 @@ class TestColorability:
     def test_rejects_bad_r(self):
         with pytest.raises(DomainError):
             colorability(20, 0)
+
+    def test_no_edge_below_12_one_graph_build(self, monkeypatch):
+        # [N] with N < 12 has no pattern pair: every route colors it all
+        # 0 from the one pattern_graph(N) build, with no search node
+        calls = []
+
+        def counted(N):
+            calls.append(N)
+            return pattern_graph(N)
+
+        monkeypatch.setattr(search, "pattern_graph", counted)
+        for N in range(12):
+            for r in range(1, 5):
+                cert = colorability(N, r)
+                assert cert.verdict == "colorable"
+                assert cert.coloring.colors.tolist() == [0] * N
+                assert cert.trace == {"nodes": 0, "max_depth": 0}
+                assert calls == [N]
+                calls.clear()
 
     def test_recursion_limit_restored(self, monkeypatch):
         saved = sys.getrecursionlimit()
@@ -487,6 +524,19 @@ class TestSpNumber:
                                                          "not-colorable"))
         with pytest.raises(RuntimeError, match="refuted"):
             sp_number(r)
+
+    @pytest.mark.parametrize("r, p, stuck", [(1, 12, 14), (2, 54, 59),
+                                             (3, 774, 782)])
+    def test_planted_scan_fault_is_caught(self, monkeypatch, r, p, stuck):
+        # the scan reads pair sums from _edges_with_product, the exact
+        # search its own pattern_graph walk: with product p's pairs lost
+        # to the scan alone, the scan colors a graph the search refutes
+        real = search._edges_with_product
+        monkeypatch.setattr(search, "_edges_with_product",
+                            lambda N: [] if N == p else real(N))
+        with pytest.raises(RuntimeError,
+                           match=rf"\[{stuck}\] refuted after the scan"):
+            sp_number(r, nmax=800)
 
 
 class TestScanFacts:
