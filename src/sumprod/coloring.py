@@ -64,9 +64,11 @@ class Coloring:
                 and all(isinstance(run, list) and len(run) == 2
                         for run in runs)
                 and all(type(v) is int  # JSON true is a bool, not an int
-                        for v in chain((obj.get("N"), obj.get("r")), *runs))):
+                        for v in chain((obj.get("N"), obj.get("r")), *runs))
+                and all(length >= 0 for _, length in runs)):
             raise DomainError("a coloring is a JSON object with integer "
-                              "N, r and runs of [color, length] pairs")
+                              "N, r and runs of [color, length] pairs, "
+                              "each length >= 0")
         cols = np.concatenate([np.full(length, c, dtype=np.int64)
                                for c, length in runs]) \
             if runs else np.zeros(0, dtype=np.int64)

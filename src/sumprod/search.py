@@ -11,9 +11,11 @@ bounded by the recursion limit, and picks vertices from one bitset of
 uncolored vertices per saturation level instead of scanning them all.
 Every coloring is checked by find_monochromatic before it is returned,
 and every r <= 2 refutation against the pattern's definition.
-sp_number runs one scan for every r and keeps only a coloring: each
-product N takes the first color its pair sums leave free, and the scan
-re-solves exactly only where no color is free.
+sp_number runs one scan for every r and keeps a coloring plus the
+adjacency of the products scanned so far: each product N takes the
+first color its pair sums leave free; where none is free, a Kempe-chain
+swap tries to free one, and the scan re-solves exactly only where no
+chain frees a color.
 """
 
 from __future__ import annotations
@@ -329,36 +331,90 @@ class ThresholdResult:
         return json.dumps(obj, sort_keys=True)
 
 
+def _kempe_free(sums: list, r: int, color: dict, adj: dict) -> int | None:
+    """Free a color for a new product whose pair sums use all r colors.
+
+    For each color pair (a, b), high colors first since the scan's
+    first-free step leaves them sparse, walk the (a, b)-chains of adj
+    (colors as in _checked_coloring: 0 where unset) from the sums
+    colored a.  If no chain reaches a sum colored b, swap a and b on
+    those chains, in color, and return a; if every pair is blocked,
+    return None with color unchanged (Kempe 1879).
+    """
+    targets = set(sums)
+    top = range(r - 1, -1, -1)
+    for a in top:
+        for b in top:
+            if a == b:
+                continue
+            chain = {s for s in sums if color.get(s, 0) == a}
+            stack = list(chain)
+            blocked = False
+            while stack and not blocked:
+                for v in adj.get(stack.pop(), ()):
+                    c = color.get(v, 0)
+                    if c == b and v in targets:
+                        blocked = True
+                        break
+                    if c in (a, b) and v not in chain:
+                        chain.add(v)
+                        stack.append(v)
+            if not blocked:
+                for v in chain:
+                    color[v] = b if color.get(v, 0) == a else a
+                return a
+    return None
+
+
 def sp_number(r: int, nmax: int | None = None,
               node_budget: int = DEFAULT_NODE_BUDGET,
               time_budget_s: float | None = None) -> ThresholdResult:
     """Smallest N <= nmax whose pattern graph is not r-colorable.
 
-    One scan for every r that holds only a coloring (0 where unset).
-    A sum is below its product, so product N is a new vertex adjacent
-    to just its pair sums, and a sum first seen at N keeps color 0.  N
-    takes the first color its sums leave free; only when none is free
-    does the exact colorability(N, r) decide N (and, if colorable,
-    replace the coloring).  The certificate pair re-verifies: colorable
-    at N* - 1, not-colorable at N* (a refutation at N* - 1, which the
-    scan colored, raises RuntimeError).  When the scan reaches nmax or
-    runs out of its node or time budget, n_star is None and the note
-    says which.  The time budget is checked between values of N and, as
+    One scan for every r that holds a coloring (0 where unset) and the
+    adjacency of the products scanned so far.  A sum is below its
+    product, so product N is a new vertex adjacent to just its pair
+    sums, and a sum first seen at N keeps color 0.  N takes the first
+    color its sums leave free.  When none is free, a Kempe-chain swap on
+    the adjacency of [N - 1] may free one (_kempe_free), and the swapped
+    coloring of [N] is checked by _checked_coloring; only when no chain
+    frees a color does the exact colorability(N, r) decide N (and, if
+    colorable, replace the coloring).  N joins the adjacency after its
+    chain walk.  The certificate pair re-verifies: colorable at N* - 1,
+    not-colorable at N* (a refutation at N* - 1, which the scan colored,
+    raises RuntimeError).  When the scan reaches nmax or runs out of its
+    node or time budget, n_star is None and the note says which; at
+    nmax the scan's coloring of [nmax] is checked first.  The
+    time budget, a number >= 0, is checked between values of N and, as
     a deadline, inside every exact search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
+    if time_budget_s is not None and not time_budget_s >= 0:
+        raise DomainError("need a time budget >= 0 s")
     if nmax is None:
         nmax = {1: 100, 2: 10_000}.get(r, 1_000_000)
+    if nmax < 0:
+        raise DomainError("need nmax >= 0")
     deadline = (None if time_budget_s is None
                 else time.monotonic() + time_budget_s)
     color: dict[int, int] = {}
+    adj: dict[int, list] = {}
     for N in range(12, nmax + 1):
         if deadline is not None and time.monotonic() > deadline:
             return ThresholdResult(r, None, None, None, N,
                                    "time budget exhausted")
-        used = {color.get(s, 0) for s, _ in _edges_with_product(N)}
+        sums = [s for s, _ in _edges_with_product(N)]
+        used = {color.get(s, 0) for s in sums}
         free = next((c for c in range(r) if c not in used), None)
+        if free is None:
+            free = _kempe_free(sums, r, color, adj)
+            if free is not None:
+                color[N] = free
+                _checked_coloring(N, r, color)
+        adj[N] = sums
+        for s in sums:
+            adj.setdefault(s, []).append(N)
         if free is not None:
             color[N] = free
             continue
@@ -377,5 +433,6 @@ def sp_number(r: int, nmax: int | None = None,
                                    if cert.trace["nodes"] >= node_budget
                                    else "time budget exhausted")
         color = dict(enumerate(cert.coloring.colors.tolist(), 1))
+    _checked_coloring(nmax, r, color)  # the claim below rests on it alone
     return ThresholdResult(r, None, None, None, nmax,
                            f"{r}-colorable for all N <= nmax")

@@ -202,6 +202,15 @@ class TestExitCodes:
             assert "grid too small" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_nan_or_negative_time_budget_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        out = str(tmp_path / "o")
+        for budget in ("nan", "-1"):
+            assert run(["threshold", "--r", "3", "--nmax", "800",
+                        "--time-budget", budget, "--output", out]) == 2
+            assert "time budget >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bound_failure(self, tmp_path):
         # an absurdly tight exponent makes the structure check fail
         out = str(tmp_path / "o")

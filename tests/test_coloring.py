@@ -121,7 +121,9 @@ class TestRLE:
         '{"N": 3, "r": 1, "runs": 5}', '{"N": 3, "r": 1, "runs": [[0, 1.5]]}',
         '{"N": 3, "r": "x", "runs": [[0, 3]]}',
         '{"N": 3, "r": 1, "runs": [null]}',
-        '{"N": 3, "r": true, "runs": [[0, 3]]}'])
+        '{"N": 3, "r": true, "runs": [[0, 3]]}',
+        '{"N": 0, "r": 1, "runs": [[0, -1]]}',
+        '{"N": 2, "r": 1, "runs": [[0, 3], [0, -1]]}'])
     def test_malformed_json_raises(self, text):
         with pytest.raises(DomainError, match="N, r and runs"):
             Coloring.from_rle_json(text)

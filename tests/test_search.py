@@ -221,22 +221,14 @@ class TestSearchTreePinned:
     def test_sp_number_digest(self, r, nmax, digest):
         assert _sha(sp_number(r, nmax)) == digest
 
-    # the N at which the scan calls colorability, recorded from the
-    # adjacency-dict greedy that the coloring-only scan replaced
-    R3_RESOLVES = [
-        180, 198, 260, 270, 306, 320, 324, 336, 350, 396, 399, 432, 435, 440,
-        450, 459, 464, 468, 486, 495, 504, 513, 516, 522, 540, 555, 558, 564,
-        567, 576, 594, 600, 612, 615, 621, 630, 636, 648, 651, 665, 666, 675,
-        680, 684, 702, 720, 728, 732, 735, 738, 750, 756, 774, 773]
-    R4_RESOLVES = [
-        704, 1746, 1776, 1800, 1815, 1820, 2016, 2025, 2064, 2072, 2090,
-        2112, 2120, 2150, 2205, 2214, 2232, 2250, 2288, 2295, 2322, 2331,
-        2475, 2556, 2574, 2576, 2646, 2664, 2709, 2720, 2772, 2775, 2835,
-        2888, 2898, 2912, 2916, 2928, 3000]
+    # the N at which the scan calls colorability, recorded from the scan
+    # that repairs its coloring by Kempe chains before any exact re-solve
+    R3_RESOLVES = [308, 450, 504, 558, 612, 666, 720, 774, 773]
+    R4_RESOLVES = [1216]
 
     @pytest.mark.parametrize("r, nmax, resolves", [
         (1, None, [12, 11]),
-        (2, None, [36, 40, 42, 48, 54, 53]),
+        (2, None, [54, 53]),
         (3, 800, R3_RESOLVES),
         (4, 3000, R4_RESOLVES),
     ], ids=["r1", "r2", "r3", "r4"])
@@ -525,18 +517,43 @@ class TestSpNumber:
         with pytest.raises(RuntimeError, match="refuted"):
             sp_number(r)
 
-    @pytest.mark.parametrize("r, p, stuck", [(1, 12, 14), (2, 54, 59),
-                                             (3, 774, 782)])
+    @pytest.mark.parametrize("r, p, stuck", [(1, 12, 14), (2, 54, 62),
+                                             (3, 774, 800)])
     def test_planted_scan_fault_is_caught(self, monkeypatch, r, p, stuck):
         # the scan reads pair sums from _edges_with_product, the exact
         # search its own pattern_graph walk: with product p's pairs lost
         # to the scan alone, the scan colors a graph the search refutes
+        # (r <= 2), or, where no product after p is stuck (r = 3), ends
+        # with a coloring of [nmax] that the final check rejects
         real = search._edges_with_product
         monkeypatch.setattr(search, "_edges_with_product",
                             lambda N: [] if N == p else real(N))
-        with pytest.raises(RuntimeError,
-                           match=rf"\[{stuck}\] refuted after the scan"):
+        match = (rf"\[{stuck}\] refuted after the scan" if r < 3 else
+                 rf"N = {stuck} pattern graph: 95 and 774 share a color")
+        with pytest.raises(RuntimeError, match=match):
             sp_number(r, nmax=800)
+
+    def test_planted_repair_fault_is_caught(self, monkeypatch):
+        # a repair that gives N the freed color without swapping the
+        # chains: the check of the repaired coloring rejects it at once
+        real = search._kempe_free
+        monkeypatch.setattr(
+            search, "_kempe_free",
+            lambda sums, r, color, adj: real(sums, r, dict(color), adj))
+        with pytest.raises(RuntimeError,
+                           match="N = 180 pattern graph: 63 and 180 share"):
+            sp_number(3, nmax=800)
+
+    def test_negative_nmax_raises(self):
+        # the scan's final coloring check needs a coloring of [nmax]
+        with pytest.raises(DomainError, match="nmax >= 0"):
+            sp_number(2, nmax=-1)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_time_budget_must_be_a_number_at_least_0(self, budget):
+        # monotonic() > nan is never true, so a NaN budget was no budget
+        with pytest.raises(DomainError, match="time budget"):
+            sp_number(3, nmax=800, time_budget_s=budget)
 
 
 class TestScanFacts:
