@@ -28,7 +28,8 @@ from .numtheory import harmonic
 # cannot overflow either.  Below _EXACT_MIN values the fixed cost of the
 # kernel loses to math.fsum.  It works through _CHUNK doubles at a time
 # (an even count, so real and imaginary parts keep their parity), which
-# keeps its temporaries in cache.
+# keeps its temporaries in cache.  random_disc and the bound check of
+# SampledFunction work through _CHUNK values at a time for the same reason.
 _EXP_OFFSET = 1073
 _BINS = _EXP_OFFSET + 998
 _EXACT_TOP = 2.0 ** 997
@@ -99,11 +100,20 @@ def cfsum(values: np.ndarray) -> complex:
 
 
 def e_of(x) -> np.ndarray:
-    """e(x) = exp(2*pi*i*x)."""
-    return np.exp(2j * np.pi * np.asarray(x, dtype=np.float64))
+    """e(x) = exp(2*pi*i*x), computed in place in one complex array."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.multiply(x, 2j * np.pi, out=np.empty(x.shape, np.complex128))
+    return np.exp(z, out=z)
 
 
 BOUND_SLACK = 1e-12
+
+
+def _window_size(lo: int, hi: int) -> int:
+    """Number of integers in [lo, hi]; DomainError when it is empty."""
+    if hi < lo:
+        raise DomainError("empty sample window")
+    return hi - lo + 1
 
 
 @dataclass
@@ -121,22 +131,23 @@ class SampledFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.hi < self.lo:
-            raise DomainError("empty sample window")
-        if len(self.values) != self.hi - self.lo + 1:
+        if len(self.values) != _window_size(self.lo, self.hi):
             raise DomainError("values length does not match [lo, hi]")
         if self.bound < 0:
             raise DomainError("bound must be nonnegative")
-        amax = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-        if amax > self.bound + BOUND_SLACK:
-            raise DomainError(
-                f"values exceed declared bound: {amax} > {self.bound}")
+        # block by block, so no |values| array is built; "not <=" makes
+        # a nan or an inf fail, and the first failing block is reported
+        for s in range(0, len(self.values), _CHUNK):
+            amax = float(np.max(np.abs(self.values[s:s + _CHUNK])))
+            if not amax <= self.bound + BOUND_SLACK:
+                raise DomainError(
+                    f"values exceed declared bound: {amax} > {self.bound}")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value: complex, lo: int, hi: int) -> "SampledFunction":
-        vals = np.full(hi - lo + 1, value, dtype=np.complex128)
+        vals = np.full(_window_size(lo, hi), value, dtype=np.complex128)
         return cls(lo, hi, vals, bound=max(1.0, abs(value)))
 
     @classmethod
@@ -152,16 +163,33 @@ class SampledFunction:
 
     @classmethod
     def random_disc(cls, rng: np.random.Generator, lo: int, hi: int):
-        """Independent values uniform on the closed complex unit disc."""
-        size = hi - lo + 1
-        r = np.sqrt(rng.random(size))
-        ang = rng.random(size)
-        return cls(lo, hi, r * e_of(ang), bound=1.0)
+        """Independent values uniform on the closed complex unit disc.
+
+        The values are sqrt(u) * e(v) for the size radius uniforms u and
+        then the size angle uniforms v, built in one complex array: the
+        u are drawn into its upper half, and each _CHUNK block [s, e) is
+        written to float slots [2s, 2e), which stay below the unread u
+        (2e <= size + e).  Chunked draws of v continue the same stream,
+        so every value and the generator's state match the unblocked
+        sqrt(rng.random(size)) * e_of(rng.random(size)).
+        """
+        size = _window_size(lo, hi)
+        vals = np.empty(size, dtype=np.complex128)
+        radii = vals.view(np.float64)[size:]
+        rng.random(out=radii)
+        for s in range(0, size, _CHUNK):
+            e = min(s + _CHUNK, size)
+            rb = np.sqrt(radii[s:e])      # a copy: blk overwrites radii
+            blk = vals[s:e]
+            np.multiply(rng.random(e - s), 2j * np.pi, out=blk)
+            np.exp(blk, out=blk)
+            blk *= rb
+        return cls(lo, hi, vals, bound=1.0)
 
     @classmethod
     def random_nonneg(cls, rng: np.random.Generator, lo: int, hi: int):
         """Independent values uniform on [0, 1] (real, nonnegative)."""
-        size = hi - lo + 1
+        size = _window_size(lo, hi)
         return cls(lo, hi, rng.random(size).astype(np.complex128), bound=1.0)
 
     # -- evaluation ---------------------------------------------------

@@ -136,7 +136,7 @@ def _cmd_threshold(args) -> int:
         args.time_budget = 60.0  # exploratory runs must stay budgeted
     res = sp_number(args.r, nmax=args.nmax,
                     time_budget_s=args.time_budget)
-    _emit_json(args.output, "threshold.json", json.loads(res.to_json()),
+    _emit_json(args.output, "threshold.json", res.to_obj(),
                _header(args, ["r", "nmax"]))
     if res.n_star is None:
         print(f"threshold r={args.r}: not found <= {res.exhausted_at} "
@@ -225,7 +225,7 @@ def _cmd_dioph(args) -> int:
         rep = weyl_structure_scan(tables, args.X, args.m, args.eps,
                                   exponent=args.exponent,
                                   grid_points=args.grid)
-        _emit_json(args.output, "weyl.json", json.loads(rep.to_json()),
+        _emit_json(args.output, "weyl.json", rep.to_obj(),
                    _header(args, ["X", "m", "eps", "exponent", "grid"]))
         print(f"weyl: obligated={len(rep.rows)} all_pass={rep.all_pass} "
               f"empirical_E={rep.empirical_E:.4g}")
@@ -244,7 +244,7 @@ def _cmd_dioph(args) -> int:
     levels = [float(v) for v in args.levels.split(",")]
     rep = dioph_verify(S, params, levels, grid_points=args.grid,
                        want_empirical_L=args.empirical_L)
-    _emit_json(args.output, "dioph.json", json.loads(rep.to_json()),
+    _emit_json(args.output, "dioph.json", rep.to_obj(),
                _header(args, ["set", "D", "intervals", "j", "L", "Lp",
                               "levels", "grid"]))
     _emit_csv(args.output, "dioph_summary.csv", rep.csv_summary_rows())
@@ -259,7 +259,7 @@ def _cmd_sieve(args) -> int:
     dec = band_decompose(args.X, args.R, args.Q, cexp=args.cexp, A=args.A,
                          variant=args.variant)
     rep = verify_sieve_bounds(dec)
-    _emit_json(args.output, "sieve_report.json", json.loads(rep.to_json()),
+    _emit_json(args.output, "sieve_report.json", rep.to_obj(),
                _header(args, ["X", "R", "Q", "cexp", "A", "variant"]))
     if args.export_decomposition:
         _emit(args.output, "decomposition.json", dec.export_json() + "\n")
@@ -279,7 +279,7 @@ def _cmd_richness(args) -> int:
                          kmax=args.kmax)
     rep = richness_scan(col, cfg)
     _emit_csv(args.output, "richness.csv", rep.to_csv_rows())
-    _emit_json(args.output, "richness.json", json.loads(rep.to_json()),
+    _emit_json(args.output, "richness.json", rep.to_obj(),
                _header(args, ["r", "V", "imax", "windows", "kmax"]))
     print(f"richness: N={rep.N} selected color={rep.selected_color} "
           f"hits={rep.hits_per_color}")

@@ -48,13 +48,15 @@ class Coloring:
     def color_of(self, n: int) -> int:
         return int(self.colors[n - 1])
 
-    def to_rle_json(self) -> str:
+    def to_rle_obj(self) -> dict:
         starts = np.flatnonzero(np.diff(self.colors, prepend=-1))
         lengths = np.diff(starts, append=self.N)
         runs = [[c, n] for c, n in zip(self.colors[starts].tolist(),
                                        lengths.tolist())]
-        return json.dumps({"N": self.N, "r": self.r, "runs": runs},
-                          sort_keys=True)
+        return {"N": self.N, "r": self.r, "runs": runs}
+
+    def to_rle_json(self) -> str:
+        return json.dumps(self.to_rle_obj(), sort_keys=True)
 
     @classmethod
     def from_rle_json(cls, text: str) -> "Coloring":
@@ -175,19 +177,21 @@ class RichnessReport:
             rows.append([b] + [repr(float(v)) for v in vals])
         return rows
 
+    def to_obj(self) -> dict:
+        return {"N": self.N, "r": self.r,
+                "b_values": [int(b) for b in self.b_values],
+                "table": [[repr(float(v)) for v in row]
+                          for row in self.table],
+                "selected_color": self.selected_color,
+                "threshold": repr(self.threshold),
+                "hits_per_color": self.hits_per_color,
+                "pair_stats": [
+                    {"b": int(b), "bp": int(bp), "k": k, "value": repr(v)}
+                    for (b, bp, k, v) in self.pair_stats],
+                "mapping_note": self.mapping_note}
+
     def to_json(self) -> str:
-        obj = {"N": self.N, "r": self.r,
-               "b_values": [int(b) for b in self.b_values],
-               "table": [[repr(float(v)) for v in row]
-                         for row in self.table],
-               "selected_color": self.selected_color,
-               "threshold": repr(self.threshold),
-               "hits_per_color": self.hits_per_color,
-               "pair_stats": [
-                   {"b": int(b), "bp": int(bp), "k": k, "value": repr(v)}
-                   for (b, bp, k, v) in self.pair_stats],
-               "mapping_note": self.mapping_note}
-        return json.dumps(obj, sort_keys=True, indent=1)
+        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
 
 
 _MAPPING_NOTE = (

@@ -198,6 +198,9 @@ class DiophRows(Sequence):
 class _RowReport:
     """The failures and verdict of a scan report, read off its rows."""
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
+
     @property
     def failures(self) -> DiophRows:
         return self.rows.where(~self.rows.columns["passed"])
@@ -228,8 +231,8 @@ class DiophReport(_RowReport):
     rows: DiophRows
     empirical_L: float | None = None
 
-    def to_json(self) -> str:
-        obj = {
+    def to_obj(self) -> dict:
+        return {
             "params": {"L": self.params.L, "Lp": self.params.Lp,
                        "D": self.params.D},
             "set_size": self.set_size,
@@ -243,7 +246,6 @@ class DiophReport(_RowReport):
             "rows": self.rows.dicts(),
             "failures": self.failures.dicts(),
         }
-        return json.dumps(obj, sort_keys=True, indent=1)
 
     def csv_summary_rows(self) -> list:
         out = [["level", "q_cap", "err_threshold", "vacuous", "n_obligated",
@@ -550,13 +552,12 @@ class WeylReport(_RowReport):
     rows: DiophRows
     empirical_E: float
 
-    def to_json(self) -> str:
-        obj = {"X": self.X, "m": self.m, "eps": self.eps,
-               "exponent": self.exponent, "grid_points": self.grid_points,
-               "empirical_E": self.empirical_E, "all_pass": self.all_pass,
-               "rows": self.rows.dicts(),
-               "failures": self.failures.dicts()}
-        return json.dumps(obj, sort_keys=True, indent=1)
+    def to_obj(self) -> dict:
+        return {"X": self.X, "m": self.m, "eps": self.eps,
+                "exponent": self.exponent, "grid_points": self.grid_points,
+                "empirical_E": self.empirical_E, "all_pass": self.all_pass,
+                "rows": self.rows.dicts(),
+                "failures": self.failures.dicts()}
 
 
 def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,

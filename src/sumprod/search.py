@@ -75,12 +75,15 @@ class SearchCertificate:
     odd_cycle: list = field(default_factory=list)
     trace: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_obj(self) -> dict:
         obj = {"r": self.r, "N": self.N, "verdict": self.verdict,
                "trace": self.trace, "odd_cycle": self.odd_cycle}
         if self.coloring is not None:
-            obj["coloring_rle"] = json.loads(self.coloring.to_rle_json())
-        return json.dumps(obj, sort_keys=True)
+            obj["coloring_rle"] = self.coloring.to_rle_obj()
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True)
 
 
 def _checked_coloring(N: int, r: int, assigned: dict) -> Coloring:
@@ -323,12 +326,14 @@ class ThresholdResult:
     exhausted_at: int | None = None
     note: str = ""
 
+    def to_obj(self) -> dict:
+        return {"r": self.r, "n_star": self.n_star,
+                "exhausted_at": self.exhausted_at, "note": self.note,
+                "below": self.below.to_obj() if self.below else None,
+                "at": self.at.to_obj() if self.at else None}
+
     def to_json(self) -> str:
-        obj = {"r": self.r, "n_star": self.n_star,
-               "exhausted_at": self.exhausted_at, "note": self.note,
-               "below": json.loads(self.below.to_json()) if self.below else None,
-               "at": json.loads(self.at.to_json()) if self.at else None}
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(self.to_obj(), sort_keys=True)
 
 
 def _kempe_free(sums: list, r: int, color: dict, adj: dict) -> int | None:

@@ -253,14 +253,17 @@ class SieveReport:
     reconstruction_error: float
     checks: dict
 
-    def to_json(self) -> str:
+    def to_obj(self) -> dict:
         obj = {k: (v if not isinstance(v, float) else repr(v))
                for k, v in vars(self).items()}
         obj["band_fourth_moments"] = [repr(v) for v in
                                       self.band_fourth_moments]
         obj["band_sup_bounds"] = [[repr(lo), repr(up)]
                                   for lo, up in self.band_sup_bounds]
-        return json.dumps(obj, sort_keys=True, indent=1)
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
 
 
 def _sup_grid(X: int) -> tuple[int, int, float]:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,64 @@ class TestSampledFunction:
         assert (g.lo, g.hi) == (lo, hi)
         text = repr(g.values.tolist())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestWindowConstruction:
+    BLOCK = averages._CHUNK
+
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (5, 2), (0, -10)])
+    @pytest.mark.parametrize("make", [
+        SampledFunction.random_disc, SampledFunction.random_nonneg,
+        lambda rng, lo, hi: SampledFunction.constant(0.5, lo, hi)],
+        ids=["random_disc", "random_nonneg", "constant"])
+    def test_empty_window_rejected_before_drawing(self, make, lo, hi):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(DomainError, match="empty sample window"):
+            make(rng, lo, hi)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 5])
+    def test_random_disc_bits_match_unblocked_draw(self, n):
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        f = SampledFunction.random_disc(rng, -7, n - 8)
+        want = np.sqrt(ref.random(n)) * np.exp(2j * np.pi * ref.random(n))
+        assert np.array_equal(f.values.view(np.uint64),
+                              want.view(np.uint64))
+        assert rng.random() == ref.random()
+
+    def test_e_of_bits_match_numpy(self):
+        x = np.concatenate([
+            np.linspace(-3.5e6, 2e6, 4001), np.arange(-40.0, 41.0),
+            [1e15, -1e15, 2.0 ** 60, 0.0, -0.0, 0.25, -0.75]])
+        assert np.array_equal(averages.e_of(x).view(np.uint64),
+                              np.exp(2j * np.pi * x).view(np.uint64))
+
+    def test_random_disc_builds_one_buffer(self):
+        rng = np.random.default_rng(5)
+        SampledFunction.random_disc(rng, 1, 10 ** 6)   # warm-up
+        tracemalloc.start()
+        try:
+            f = SampledFunction.random_disc(rng, 1, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * f.values.nbytes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
+    @pytest.mark.parametrize("size, at", [
+        (3 * BLOCK, BLOCK + 3), (2 * BLOCK + 10, 2 * BLOCK + 5)])
+    def test_bound_check_in_every_block(self, bad, size, at):
+        vals = np.zeros(size, dtype=np.complex128)
+        vals[at] = bad
+        with pytest.raises(DomainError, match="exceed declared bound") as ex:
+            SampledFunction(0, size - 1, vals)
+        if bad == 1.5:
+            assert str(ex.value) == "values exceed declared bound: 1.5 > 1.0"
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="exceed declared bound"):
+            SampledFunction(0, 2, [0, math.nan, 0])
 
 
 class TestLogAvg:
