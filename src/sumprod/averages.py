@@ -156,10 +156,10 @@ class SampledFunction:
         return cls(lo, hi, e_of(alpha * n), bound=1.0)
 
     @classmethod
-    def from_callable(cls, fn, lo: int, hi: int, bound: float = 1.0):
+    def from_callable(cls, fn, lo: int, hi: int):
         vals = np.array([fn(n) for n in range(lo, hi + 1)],
                         dtype=np.complex128)
-        return cls(lo, hi, vals, bound=bound)
+        return cls(lo, hi, vals, bound=1.0)
 
     @classmethod
     def random_disc(cls, rng: np.random.Generator, lo: int, hi: int):
@@ -377,16 +377,14 @@ def dilate_defect(f: SampledFunction, N: int, q: int) -> DefectRecord:
     return DefectRecord("dilate", lhs, bound, params={"q": q, "N": N})
 
 
-def elliott_defect(f: SampledFunction, N: int, primes,
-                   P: int | None = None) -> DefectRecord:
-    """Logarithmic Elliott-inequality defect over a finite prime set."""
+def elliott_defect(f: SampledFunction, N: int, primes) -> DefectRecord:
+    """Logarithmic Elliott defect over a prime set with largest P <= N."""
     primes = sorted(int(p) for p in primes)
     if not primes:
         raise DomainError("prime set must be nonempty")
-    if P is None:
-        P = primes[-1]
-    if primes[-1] > P or P > N:
-        raise DomainError("need all primes <= P <= N")
+    P = primes[-1]
+    if P > N:
+        raise DomainError("need all primes <= N")
     oob0 = f.oob_events
     inv_p = [1.0 / p for p in primes]
     sum_invp = math.fsum(inv_p)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -91,6 +91,14 @@ def _config_flags(args) -> list:
               + ", ".join(map(repr, unknown)))
     return ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
             for k, v in values.items() if v is not None and v is not False]
+
+
+def _finite_float(text: str) -> float:
+    """A float flag's value; nan and inf are configuration errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _read_coloring(path: str) -> Coloring:
@@ -172,10 +180,8 @@ def _cmd_norms(args) -> int:
     for q in qs:
         for h in hs:
             p = NormParams(args.N, q, h)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                nl, nu = u1log_norm(f, p), u1_norm(f, p)
-                np_ = u1log_norm(project(f, q, h), p)
+            nl, nu = u1log_norm(f, p), u1_norm(f, p)
+            np_ = u1log_norm(project(f, q, h), p)
             rows.append([q, h, repr(nl), repr(nu), repr(np_)])
     _emit_csv(args.output, "norms.csv", rows)
     _emit_json(args.output, "norms.json",
@@ -213,10 +219,8 @@ def _parse_intervals(text: str) -> list:
 def _cmd_dioph(args) -> int:
     if args.mode == "vino":
         res = vino_verify(args.alpha, args.T, args.delta1, args.delta2)
-        _emit_json(args.output, "vino.json", {
-            "hypothesis_holds": res.hypothesis_holds, "count": res.count,
-            "q": res.q, "alarm": res.alarm},
-            _header(args, ["alpha", "T", "delta1", "delta2"]))
+        _emit_json(args.output, "vino.json", vars(res),
+                   _header(args, ["alpha", "T", "delta1", "delta2"]))
         print(f"vino: hypothesis={res.hypothesis_holds} q={res.q} "
               f"alarm={res.alarm}")
         return EXIT_BOUND_FAILED if res.alarm else EXIT_OK
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", default="10,40,160")
     p.add_argument("--function", default="random",
                    choices=["const", "phase", "random"])
-    p.add_argument("--alpha", type=float, default=0.37)
+    p.add_argument("--alpha", type=_finite_float, default=0.37)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add_parser("lemma-check", _cmd_lemma_check,
@@ -361,31 +365,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals", default="1000:1080,10000:10400",
                    help="comma-separated lo:hi prime windows")
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--L", type=float, default=2.0)
-    p.add_argument("--Lp", type=float, default=8.0)
+    p.add_argument("--L", type=_finite_float, default=2.0)
+    p.add_argument("--Lp", type=_finite_float, default=8.0)
     p.add_argument("--levels", default="0.05,0.1,0.2,0.4")
     p.add_argument("--grid", type=int, default=2 ** 22)
     p.add_argument("--empirical-L", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=_finite_float, default=0.2)
     p.add_argument("--T", type=int, default=1000)
-    p.add_argument("--delta1", type=float, default=1e-6)
-    p.add_argument("--delta2", type=float, default=0.125)
+    p.add_argument("--delta1", type=_finite_float, default=1e-6)
+    p.add_argument("--delta2", type=_finite_float, default=0.125)
     p.add_argument("--X", type=int, default=10 ** 5)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--exponent", type=float, default=6.0)
+    p.add_argument("--eps", type=_finite_float, default=0.2)
+    p.add_argument("--exponent", type=_finite_float, default=6.0)
 
     p = add_parser("sieve", _cmd_sieve,
                    help="Selberg-type majorant on [X, 2X): Ramanujan "
                         "expansion, periodic head + dyadic band + "
                         "remainder decomposition, bound report")
     p.add_argument("--X", type=int, default=10 ** 5)
-    p.add_argument("--R", type=float, default=None,
+    p.add_argument("--R", type=_finite_float, default=None,
                    help="sieve level; default X^(1/4) (X^(1/10) is "
                         "degenerate below desk scale)")
     p.add_argument("--Q", type=int, default=6)
-    p.add_argument("--cexp", type=float, default=0.125)
-    p.add_argument("--A", type=float, default=4.0)
+    p.add_argument("--cexp", type=_finite_float, default=0.125)
+    p.add_argument("--A", type=_finite_float, default=4.0)
     p.add_argument("--variant", default="mu_squared",
                    choices=["mu_squared", "mu"])
     p.add_argument("--export-decomposition", action="store_true")

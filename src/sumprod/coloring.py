@@ -225,8 +225,8 @@ def richness_scan(c: Coloring, cfg: RichnessConfig) -> RichnessReport:
     selected = int(np.argmax(hits))  # argmax takes the smallest j on ties
 
     windows = list(cfg.prime_windows)
-    if cfg.kmax > len(windows):
-        raise DomainError("kmax exceeds the number of prime windows")
+    if not 0 <= cfg.kmax <= len(windows):
+        raise DomainError("kmax must lie in [0, number of prime windows]")
     primes_per_window = []
     if cfg.kmax >= 1:
         hi = max(b for _, b in windows[: cfg.kmax])

@@ -34,7 +34,7 @@ from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
                         convergent_denominators, factorize, grid_convergents)
-from .projections import NormParams, u1_norm, u1log_norm
+from .projections import NormParams, u1log_norm
 
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
@@ -42,11 +42,14 @@ _ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
 
 
 def _float_pow(base: float, exponent: float, what: str) -> float:
-    """base ** exponent, or a DomainError saying what overflowed a float."""
+    """base ** exponent, or a DomainError saying what is not a finite float."""
     try:
-        return base ** exponent
+        power = base ** exponent
     except OverflowError:
-        raise DomainError(f"{what} overflows a float") from None
+        power = math.inf
+    if not math.isfinite(power):
+        raise DomainError(f"{what} is not a finite float")
+    return power
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class DiophParams:
     D: float
 
     def __post_init__(self):
-        if self.L < 1 or self.Lp < 1 or self.D <= 0:
+        if not (self.L >= 1 and self.Lp >= 1 and self.D > 0):
             raise DomainError("need L, L' >= 1 and D > 0")
 
     def q_cap(self, delta: float) -> int:
@@ -233,8 +236,7 @@ class DiophReport(_RowReport):
 
     def to_obj(self) -> dict:
         return {
-            "params": {"L": self.params.L, "Lp": self.params.Lp,
-                       "D": self.params.D},
+            "params": vars(self.params),
             "set_size": self.set_size,
             "diam": self.diam,
             "grid_points": self.grid_points,
@@ -362,7 +364,7 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     if S.size == 0:
         raise DomainError("S must be nonempty")
     levels = sorted(set(float(d) for d in delta_levels), reverse=True)
-    if not levels or levels[-1] <= 0 or levels[0] >= 1:
+    if not (levels and all(0 < d < 1 for d in levels)):
         raise DomainError("delta levels must lie in (0, 1)")
     if grid_points < 16:
         raise DomainError("grid too small")
@@ -446,8 +448,8 @@ def vino_verify(alpha: float, T: int, delta1: float,
     continued-fraction convergent of alpha (Lagrange); only the
     convergents of the exact binary rational alpha mod 1 are tried.
     """
-    if delta1 <= 0 or delta2 <= 0 or delta2 < 32 * delta1:
-        raise DomainError("need 0 < 32*delta1 <= delta2")
+    if not (math.isfinite(alpha) and 0 < 32 * delta1 <= delta2):
+        raise DomainError("need finite alpha and 0 < 32*delta1 <= delta2")
     if T < 16 / delta2:
         raise DomainError("need T >= 16/delta2")
     t = np.arange(1, T + 1, dtype=np.float64)
@@ -643,9 +645,9 @@ def concat_hypothesis(f: SampledFunction, N: int, S, T: int,
     return _avg_of_values(per_n, N, mode).real
 
 
-def concat_conclusion_search(f: SampledFunction, N: int, H: int, qmax: int,
-                             mode: str = "log") -> tuple[int, float]:
-    """argmax over q <= qmax of the progression-bias norm at (q, H).
+def concat_conclusion_search(f: SampledFunction, N: int, H: int,
+                             qmax: int) -> tuple[int, float]:
+    """argmax over q <= qmax of the log progression-bias norm at (q, H).
 
     Ties favor the smallest q.
     """
@@ -653,8 +655,7 @@ def concat_conclusion_search(f: SampledFunction, N: int, H: int, qmax: int,
         raise DomainError("need qmax, H >= 1")
     best_q, best_norm = 1, -1.0
     for q in range(1, qmax + 1):
-        p = NormParams(N, q, H)
-        val = u1log_norm(f, p) if mode == "log" else u1_norm(f, p)
+        val = u1log_norm(f, NormParams(N, q, H))
         if val > best_norm:
             best_q, best_norm = q, val
     return best_q, best_norm

@@ -265,9 +265,3 @@ class MultiplicativeTables:
                 pk *= p
         mob[0] = 0
         return cls(limit=limit, mobius=mob, phi=phi, vonmangoldt=lam)
-
-    def squarefree_up_to(self, bound: int) -> np.ndarray:
-        """Squarefree q in [1, bound] as an int64 array."""
-        if bound > self.limit:
-            raise RangeError(f"bound {bound} exceeds table limit {self.limit}")
-        return np.flatnonzero(self.mobius[: bound + 1] != 0).astype(np.int64)

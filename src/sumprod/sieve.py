@@ -50,7 +50,7 @@ def _selberg_series(R: float, variant: str) -> tuple[float, list]:
         raise DomainError(f"unknown variant {variant!r}")
     tables = MultiplicativeTables.build(int(math.floor(R)))
     mob, phi = tables.mobius, tables.phi
-    sq = tables.squarefree_up_to(tables.limit).tolist()
+    sq = np.flatnonzero(mob).tolist()  # mob[0] is 0
     normalizer = math.fsum((mob[q] if variant == "mu" else 1.0) / phi[q]
                            for q in sq)
     if abs(normalizer) < 1e-12:  # only the alternating sum can vanish
@@ -261,9 +261,6 @@ class SieveReport:
         obj["band_sup_bounds"] = [[repr(lo), repr(up)]
                                   for lo, up in self.band_sup_bounds]
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
 
 
 def _sup_grid(X: int) -> tuple[int, int, float]:

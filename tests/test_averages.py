@@ -324,7 +324,7 @@ class TestElliottDefect:
         with pytest.raises(DomainError):
             elliott_defect(f, 100, [])
         with pytest.raises(DomainError):
-            elliott_defect(f, 100, [2, 3], P=200)
+            elliott_defect(f, 100, [2, 101])
 
 
 class TestModeValidation:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -211,12 +212,42 @@ class TestExitCodes:
             assert "time budget >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dioph", "--mode", "verify", "--L", "inf"], "finite number"),
+        (["dioph", "--mode", "verify", "--Lp", "inf"], "finite number"),
+        (["dioph", "--mode", "weyl", "--exponent", "inf"], "finite number"),
+        (["sieve", "--A", "inf"], "finite number"),
+        (["dioph", "--mode", "vino", "--alpha", "nan"], "finite number"),
+        (["dioph", "--mode", "vino", "--delta1", "nan"], "finite number"),
+        (["dioph", "--mode", "vino", "--delta2", "nan"], "finite number"),
+        (["dioph", "--L", "nan"], "finite number"),
+        (["sieve", "--R", "nan"], "finite number"),
+        (["dioph", "--levels", "0.1,nan"], "delta levels"),
+        (["richness", "--kmax", "-1"], "kmax")])
+    def test_bad_number_is_a_config_error(self, tmp_path, capsys, argv,
+                                          message):
+        out = str(tmp_path / "o")
+        assert run(argv + ["--output", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bound_failure(self, tmp_path):
         # an absurdly tight exponent makes the structure check fail
         out = str(tmp_path / "o")
         assert run(["dioph", "--mode", "weyl", "--X", "10000",
                     "--exponent", "0.1", "--grid", str(2 ** 16),
                     "--output", out]) == 1
+
+
+class TestParser:
+    def test_only_time_budget_takes_a_plain_float(self):
+        # a plain float type lets nan and inf through to the library;
+        # for --time-budget inf means no budget
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        plain = [(name, a.dest) for name, p in sub.choices.items()
+                 for a in p._actions if a.type is float]
+        assert plain == [("threshold", "time_budget")]
 
 
 class TestConfigPrecedence:

@@ -218,6 +218,13 @@ class TestRichness:
         with pytest.raises(DomainError):
             richness_scan(c, cfg)
 
+    @pytest.mark.parametrize("kmax", [-1, 2])
+    def test_kmax_outside_the_windows_rejected(self, kmax):
+        cfg = RichnessConfig(V=2, imax=1, prime_windows=((5, 20),),
+                             kmax=kmax)
+        with pytest.raises(DomainError, match="kmax"):
+            richness_scan(extremal_coloring(3), cfg)
+
 
 class TestCapacity:
     def test_extremal_overflow(self):

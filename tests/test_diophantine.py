@@ -109,6 +109,17 @@ class TestDiophVerify:
         assert not dioph_verify(S, params, [0.4],
                                 grid_points=2 ** 18).certified
 
+    @pytest.mark.parametrize("call", [
+        lambda: DiophParams(math.inf, 8.0, 1.0).q_cap(0.1),
+        lambda: DiophParams(math.nan, 8.0, 1.0),
+        lambda: DiophParams(2.0, 8.0, math.nan),
+        lambda: dioph_verify(np.arange(1, 11), DiophParams(2, 8, 10),
+                             [0.4, math.nan, 0.1], grid_points=64)],
+        ids=["inf-L", "nan-L", "nan-D", "nan-level"])
+    def test_non_finite_is_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestAlmostPrimeFamily:
     def test_build(self, prime_table):
@@ -372,6 +383,15 @@ class TestVino:
             vino_verify(0.1, 1000, 0.01, 0.125)  # delta2 < 32 delta1
         with pytest.raises(DomainError):
             vino_verify(0.1, 10, 1e-6, 0.125)    # T < 16/delta2
+
+    @pytest.mark.parametrize("alpha, delta1, delta2", [
+        (math.nan, 1e-6, 0.125), (math.inf, 1e-6, 0.125),
+        (0.2, math.nan, 0.125), (0.2, 1e-6, math.nan)])
+    def test_non_finite_is_a_domain_error(self, alpha, delta1, delta2):
+        # a NaN fails every comparison, so an unchecked one would read
+        # as a false hypothesis
+        with pytest.raises(DomainError):
+            vino_verify(alpha, 1000, delta1, delta2)
 
     def test_seeded_draws_never_alarm(self):
         # near-rational alphas force the hypothesis often; the counting

@@ -481,6 +481,12 @@ class TestSpNumber:
         assert certs[774].trace["nodes"] == 3072
         assert clock["now"] < 0.7
 
+    def test_node_budget_stops_the_scan(self):
+        # nodes, not seconds: the stop is the same on every machine
+        res = sp_number(3, nmax=800, node_budget=1000)
+        assert res.n_star is None and res.note == "node budget exhausted"
+        assert res.exhausted_at == 720
+
     def test_past_deadline_is_indeterminate_at_once(self):
         cert = colorability(774, 3, deadline=time.monotonic() - 1.0)
         assert cert.verdict == "indeterminate"
