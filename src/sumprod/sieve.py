@@ -160,7 +160,27 @@ class BandDecomposition:
                       for i, b in zip(self.band_index, self.bands)},
             "h": _float_reprs(self.h),
         }
-        return json.dumps(obj, sort_keys=True)
+        return _json_of_reprs(obj)
+
+
+def _json_of_reprs(obj: dict) -> str:
+    """json.dumps(obj, sort_keys=True) for a dict whose lists hold reprs.
+
+    A float repr has nothing to escape, so each list is joined as it
+    stands rather than passed string by string through the encoder;
+    nested dicts recurse and every other value goes to json.dumps.
+    """
+    items = []
+    for key in sorted(obj):
+        v = obj[key]
+        if isinstance(v, dict):
+            enc = _json_of_reprs(v)
+        elif isinstance(v, list):
+            enc = '["' + '", "'.join(v) + '"]' if v else "[]"
+        else:
+            enc = json.dumps(v)
+        items.append(f"{json.dumps(key)}: {enc}")
+    return "{" + ", ".join(items) + "}"
 
 
 def _basis_sum_on_range(c_items, X: int, length: int) -> np.ndarray:

@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from sumprod import averages
 from sumprod.averages import (SampledFunction, cfsum, difference,
-                              dilate_defect, elliott_defect, frobenius_defect,
-                              log_avg, residue_split_defect, shift_defect,
-                              uniform_avg)
+                              dilate_defect, elliott_defect, elliott_reads,
+                              frobenius_defect, log_avg, residue_split_defect,
+                              shift_defect, uniform_avg)
 from sumprod.errors import DomainError, RangeError
 from sumprod.numtheory import harmonic
 
@@ -89,8 +89,9 @@ class TestWindowConstruction:
             make(rng, lo, hi)
         assert rng.random() == ref.random()
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   3 * BLOCK + 5])
+    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_random_disc_bits_match_unblocked_draw(self, n):
         rng, ref = np.random.default_rng(17), np.random.default_rng(17)
         f = SampledFunction.random_disc(rng, -7, n - 8)
@@ -106,16 +107,68 @@ class TestWindowConstruction:
         assert np.array_equal(averages.e_of(x).view(np.uint64),
                               np.exp(2j * np.pi * x).view(np.uint64))
 
-    def test_random_disc_builds_one_buffer(self):
-        rng = np.random.default_rng(5)
-        SampledFunction.random_disc(rng, 1, 10 ** 6)   # warm-up
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_nonneg_bits_match_unblocked_draw(self, n):
+        rng, ref = np.random.default_rng(19), np.random.default_rng(19)
+        f = SampledFunction.random_nonneg(rng, -7, n - 8)
+        want = ref.random(n).astype(np.complex128)
+        assert np.array_equal(f.values.view(np.uint64),
+                              want.view(np.uint64))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("alpha", [0.5, math.sqrt(2) - 1, -3.7e-5])
+    def test_from_phase_bits_match_unblocked(self, n, alpha):
+        f = SampledFunction.from_phase(alpha, -7, n - 8)
+        want = averages.e_of(alpha * np.arange(-7, n - 7, dtype=np.float64))
+        assert np.array_equal(f.values.view(np.uint64),
+                              want.view(np.uint64))
+
+    @staticmethod
+    def assert_one_buffer(make):
+        make(1, 10 ** 6)   # warm-up
         tracemalloc.start()
         try:
-            f = SampledFunction.random_disc(rng, 1, 10 ** 6)
+            f = make(1, 10 ** 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * f.values.nbytes
+
+    def test_random_disc_builds_one_buffer(self):
+        rng = np.random.default_rng(5)
+        self.assert_one_buffer(
+            lambda lo, hi: SampledFunction.random_disc(rng, lo, hi))
+
+    def test_random_nonneg_builds_one_buffer(self):
+        rng = np.random.default_rng(5)
+        self.assert_one_buffer(
+            lambda lo, hi: SampledFunction.random_nonneg(rng, lo, hi))
+
+    def test_from_phase_builds_one_buffer(self):
+        self.assert_one_buffer(
+            lambda lo, hi: SampledFunction.from_phase(0.3, lo, hi))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_masked_draw_builds_only_read_values(self, n, density):
+        read = np.random.default_rng(n).random(n) < density
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        f = SampledFunction.random_disc(rng, 4, n + 3, read=read)
+        full = SampledFunction.random_disc(ref, 4, n + 3).values
+        got = f.values.view(np.uint64).reshape(n, 2)
+        assert np.array_equal(got[read], full.view(np.uint64).reshape(n, 2)
+                              [read])
+        assert not got[~read].any()      # +0.0 in both parts
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("length", [0, 9, 11])
+    def test_mask_of_wrong_length_rejected_before_drawing(self, length):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(DomainError, match="read mask length"):
+            SampledFunction.random_disc(rng, 1, 10,
+                                        read=np.ones(length, dtype=bool))
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
     @pytest.mark.parametrize("size, at", [
@@ -325,6 +378,93 @@ class TestElliottDefect:
             elliott_defect(f, 100, [])
         with pytest.raises(DomainError):
             elliott_defect(f, 100, [2, 101])
+
+
+class _ReadSpy(SampledFunction):
+    """A window that marks every index read through slice, at and
+    progression (whose out-of-window path goes through at)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.touched = np.zeros(len(self.values), dtype=bool)
+
+    def _mark(self, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        self.touched[idx[(idx >= self.lo) & (idx <= self.hi)] - self.lo] = 1
+
+    def slice(self, lo, hi):
+        self._mark(np.arange(lo, hi + 1))
+        return super().slice(lo, hi)
+
+    def at(self, idx):
+        self._mark(idx)
+        return super().at(idx)
+
+    def progression(self, start, step, count):
+        self._mark(start + step * np.arange(count))
+        return super().progression(start, step, count)
+
+
+class TestElliottReads:
+    """elliott_reads is the draw's mask: it covers every value
+    elliott_defect reads, and nothing more."""
+
+    PRIMES = (2, 3, 5, 7, 11)
+    NS = [11, 12, 97, 1000, 5958, 6000]   # 11N crosses _CHUNK from 5958
+
+    @pytest.mark.parametrize("N", NS)
+    def test_unread_values_do_not_change_the_record(self, N):
+        read = elliott_reads(N, self.PRIMES)
+        f = SampledFunction.random_disc(np.random.default_rng(N), 1,
+                                        len(read), read=read)
+        vals = f.values.copy()
+        vals[~read] = 0.5
+        g = SampledFunction(1, len(read), vals)
+        a, b = elliott_defect(f, N, self.PRIMES), \
+            elliott_defect(g, N, self.PRIMES)
+        assert a.csv_row() == b.csv_row()
+
+    @pytest.mark.parametrize("N", NS)
+    @pytest.mark.parametrize("primes", [PRIMES, (3, 11), (2,)])
+    def test_mask_is_exactly_what_is_read(self, N, primes):
+        read = elliott_reads(N, primes)
+        assert len(read) == max(primes) * N
+        f = _ReadSpy(1, len(read), np.zeros(len(read)))
+        elliott_defect(f, N, primes)
+        assert np.array_equal(f.touched, read)
+
+
+class TestProgressionSum:
+    """The blocked sum equals the whole-array loop bit for bit, with the
+    same out-of-window count."""
+
+    BLOCK = averages._PROG_BLOCK
+
+    @staticmethod
+    def loop(f, starts, step, N):
+        acc = np.zeros(N, dtype=np.complex128)
+        for start in starts:
+            acc += f.progression(start, step, N)
+        return acc
+
+    @pytest.mark.parametrize("N", [100, BLOCK - 1, BLOCK, 2 * BLOCK + 37])
+    @pytest.mark.parametrize("q, b, H", [
+        (1, 1, 120), (1, 7, 3), (12, 5, 120), (12, 1, 1), (3, 2, 17)])
+    @pytest.mark.parametrize("short", [False, True])
+    def test_matches_whole_array_loop(self, N, q, b, H, short):
+        frob = [q + b * h for h in range(1, H + 1)]
+        resid = [q + a for a in range(q)]
+        reach = max(frob[-1], resid[-1]) + q * (N - 1)
+        # a short window misses both ends, so progression falls back to at()
+        lo, hi = (q + 2, reach // 2) if short else (1, reach)
+        vals = disc(N + q, lo, hi).values
+        for starts in (frob, resid):
+            f, g = SampledFunction(lo, hi, vals), SampledFunction(lo, hi, vals)
+            got = averages._progression_sum(f, starts, q, N)
+            want = self.loop(g, starts, q, N)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert f.oob_events == g.oob_events
+            assert (f.oob_events > 0) == short
 
 
 class TestModeValidation:
