@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numtheory import harmonic
+from .numtheory import harmonic, mertens_sum
 
 
 # The exact kernel of cfsum.  frexp writes a finite double as m * 2^e with
@@ -239,15 +239,12 @@ class SampledFunction:
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
 
-    def require_cover(self, lo: int, hi: int, what: str = "operation"):
+    def slice(self, lo: int, hi: int, what: str = "operation") -> np.ndarray:
+        """Values on [lo, hi]; outside the window, a RangeError naming what."""
         if not self.covers(lo, hi):
             raise RangeError(
                 f"{what} needs f on [{lo}, {hi}] but window is "
                 f"[{self.lo}, {self.hi}]")
-
-    def slice(self, lo: int, hi: int) -> np.ndarray:
-        """Values on [lo, hi], which must be inside the window."""
-        self.require_cover(lo, hi)
         return self.values[lo - self.lo: hi - self.lo + 1]
 
     def at(self, idx) -> np.ndarray:
@@ -322,16 +319,14 @@ def log_avg(f: SampledFunction, N: int) -> complex:
     """E^log over [N]: (sum f(n)/n) / H_N."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    f.require_cover(1, N, "log_avg")
-    return _avg_of_values(f.slice(1, N), N, "log")
+    return _avg_of_values(f.slice(1, N, "log_avg"), N, "log")
 
 
 def uniform_avg(f: SampledFunction, N: int) -> complex:
     """Plain average over [N]."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    f.require_cover(1, N, "uniform_avg")
-    return _avg_of_values(f.slice(1, N), N, "uniform")
+    return _avg_of_values(f.slice(1, N, "uniform_avg"), N, "uniform")
 
 
 def _avg_of_values(vals: np.ndarray, N: int, mode: str) -> complex:
@@ -422,21 +417,28 @@ def dilate_defect(f: SampledFunction, N: int, q: int) -> DefectRecord:
     """
     if q < 1:
         raise DomainError("q must be >= 1")
-    f.require_cover(1, N, "dilate_defect")
-    w = _log_weights(N)
-    full = cfsum(f.slice(1, N) * w)
+    terms = f.slice(1, N, "dilate_defect") * _log_weights(N)
     m = N // q
-    sub = cfsum(f.slice(1, m) * w[:m]) if m >= 1 else 0.0
-    lhs = abs(full - sub) / harmonic(N)
+    lhs = abs(cfsum(terms) - cfsum(terms[:m])) / harmonic(N)
     bound = (math.log(q) if q > 1 else 1.0) / math.log(N)
     return DefectRecord("dilate", lhs, bound, params={"q": q, "N": N})
+
+
+def _elliott_primes(N: int, primes) -> tuple[list[int], float]:
+    """A nonempty set of primes <= N, sorted, and its sum of 1/p."""
+    primes = sorted(int(p) for p in primes)
+    if not primes:
+        raise DomainError("prime set must be nonempty")
+    if primes[-1] > N:
+        raise DomainError("need all primes <= N")
+    return primes, mertens_sum(primes)
 
 
 def elliott_reads(N: int, primes) -> np.ndarray:
     """The values elliott_defect(f, N, primes) reads, as a boolean mask
     over the window [1, P * N], P the largest prime: n in [1, N] and p * n
     for each prime p and n in [1, N]."""
-    primes = sorted(int(p) for p in primes)
+    primes, _ = _elliott_primes(N, primes)
     read = np.zeros(primes[-1] * N, dtype=bool)
     read[:N] = True
     for p in primes:
@@ -446,18 +448,12 @@ def elliott_reads(N: int, primes) -> np.ndarray:
 
 def elliott_defect(f: SampledFunction, N: int, primes) -> DefectRecord:
     """Logarithmic Elliott defect over a prime set with largest P <= N."""
-    primes = sorted(int(p) for p in primes)
-    if not primes:
-        raise DomainError("prime set must be nonempty")
+    primes, sum_invp = _elliott_primes(N, primes)
     P = primes[-1]
-    if P > N:
-        raise DomainError("need all primes <= N")
     oob0 = f.oob_events
-    inv_p = [1.0 / p for p in primes]
-    sum_invp = math.fsum(inv_p)
     per_prime = [_avg_of_values(f.progression(p, p, N), N, "log")
                  for p in primes]
-    dilated = sum(ap * ip for ap, ip in zip(per_prime, inv_p)) / sum_invp
+    dilated = sum(a * (1.0 / p) for a, p in zip(per_prime, primes)) / sum_invp
     lhs = abs(_avg_of_values(f.progression(1, 1, N), N, "log") - dilated)
     bound = math.log(P) / math.log(N) + sum_invp ** -0.5
     return DefectRecord("elliott", lhs, bound, params={

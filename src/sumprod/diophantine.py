@@ -628,20 +628,20 @@ def concat_hypothesis(f: SampledFunction, N: int, S, T: int,
     The t, t' double average collapses to E_s |E_t f(n + ts)|^2 per n,
     which is real and nonnegative by construction.
     """
-    S = np.asarray(list(S) if not isinstance(S, np.ndarray) else S,
-                   dtype=np.int64)
-    if S.size == 0 or T < 1:
+    S = [int(s) for s in S]
+    if not S or T < 1:
         raise DomainError("need nonempty S and T >= 1")
-    lo_need = 1 + T * min(0, int(S.min()))
-    hi_need = N + T * max(0, int(S.max()))
-    f.require_cover(lo_need, hi_need, "concat_hypothesis")
+    lo_need = 1 + T * min(0, *S)
+    hi_need = N + T * max(0, *S)
+    V = f.slice(lo_need, hi_need, "concat_hypothesis")
     per_n = np.zeros(N, dtype=np.float64)
-    for s in S.tolist():
+    for s in S:
         acc = np.zeros(N, dtype=np.complex128)
         for t in range(1, T + 1):
-            acc += f.slice(1 + t * s, N + t * s)
+            k = 1 + t * s - lo_need  # V[k] = f(1 + t*s)
+            acc += V[k:k + N]
         per_n += np.abs(acc / T) ** 2
-    per_n /= S.size
+    per_n /= len(S)
     return _avg_of_values(per_n, N, mode).real
 
 

@@ -38,8 +38,7 @@ class NormParams:
 
 def _window_means(f: SampledFunction, N: int, q: int, H: int) -> np.ndarray:
     """A(n) = E_{h in [H]} f(n + hq) for n = 1..N, via per-class cumsums."""
-    f.require_cover(1, N + q * H, "progression average")
-    V = f.slice(1, N + q * H)  # V[k] = f(1 + k)
+    V = f.slice(1, N + q * H, "progression average")  # V[k] = f(1 + k)
     A = np.empty(N, dtype=np.complex128)
     for c in range(q):
         seq = V[c::q]  # seq[j] = f(1 + c + j*q)
@@ -114,10 +113,8 @@ def proj_check_defect(f: SampledFunction, q: int, Hp: int, H: int,
         raise DomainError("need H' <= H")
     pf = project(f, q, Hp)
     lo, hi = 1, N + q * H
-    pf.require_cover(lo, hi, "proj_check")
-    f.require_cover(lo, hi, "proj_check")
-    g = SampledFunction(lo, hi, pf.slice(lo, hi) - f.slice(lo, hi),
-                        bound=2.0 * f.bound)
+    g = SampledFunction(lo, hi, pf.slice(lo, hi, "proj_check")
+                        - f.slice(lo, hi, "proj_check"), bound=2.0 * f.bound)
     lhs = u1log_norm(g, NormParams(N, q, H))
     bound = 4.0 * Hp / H
     return DefectRecord("proj-check", lhs, bound, params={
@@ -167,8 +164,7 @@ def maximal_lower(f: SampledFunction, g: SampledFunction, q: int, H: int,
     fg = f.slice(1, N).real * g.slice(1, N).real
     base = _avg_of_values(fg, N, "log").real
     pf = project(f, q, H)
-    pf.require_cover(1, N, "maximal_lower")
-    pg = pf.slice(1, N).real * g.slice(1, N).real
+    pg = pf.slice(1, N, "maximal_lower").real * g.slice(1, N).real
     return base, _avg_of_values(pg, N, "log").real
 
 

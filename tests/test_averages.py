@@ -315,6 +315,27 @@ class TestFrobeniusDefect:
             frobenius_defect(f, 50, 2, 4, 10)
 
 
+class TestWindowChecks:
+    """Each read names its operation when f's window misses [1, N]."""
+
+    @pytest.mark.parametrize("read, name", [
+        (lambda f: log_avg(f, 50), "log_avg"),
+        (lambda f: uniform_avg(f, 50), "uniform_avg"),
+        (lambda f: dilate_defect(f, 50, 3), "dilate_defect")])
+    def test_range_error_text(self, read, name):
+        f = SampledFunction.constant(0.5, 5, 60)
+        with pytest.raises(RangeError) as err:
+            read(f)
+        assert str(err.value) == \
+            f"{name} needs f on [1, 50] but window is [5, 60]"
+
+    def test_slice_default_label(self):
+        with pytest.raises(RangeError) as err:
+            disc(1, 1, 10).slice(0, 4)
+        assert str(err.value) == \
+            "operation needs f on [0, 4] but window is [1, 10]"
+
+
 class TestDilateDefect:
     def test_q_one_zero(self):
         f = disc(13, 1, 5000)
@@ -327,6 +348,18 @@ class TestDilateDefect:
         expected = (harmonic(N) - harmonic(N // q)) / harmonic(N)
         assert abs(rec.lhs - expected) < 1e-15
         assert rec.ratio < 10
+
+    @pytest.mark.parametrize("q", [1, 2, 7, 50, 51, 400])
+    def test_equals_two_sum_reference(self, q):
+        # the tail sum over m <= N/q, taken apart; 0.0 when q > N
+        N = 50
+        f = disc(q, -3, 60)
+        w = 1.0 / np.arange(1, N + 1)
+        v = f.values[4:4 + N]   # f(1), ..., f(N)
+        m = N // q
+        full = cfsum(v * w)
+        sub = cfsum(v[:m] * w[:m]) if m >= 1 else 0.0
+        assert dilate_defect(f, N, q).lhs == abs(full - sub) / harmonic(N)
 
 
 class TestElliottDefect:
@@ -378,6 +411,28 @@ class TestElliottDefect:
             elliott_defect(f, 100, [])
         with pytest.raises(DomainError):
             elliott_defect(f, 100, [2, 101])
+
+    @pytest.mark.parametrize("primes, message", [
+        ([], "prime set must be nonempty"),
+        ([2, 101], "need all primes <= N"),
+        ([2, 4], "4 is not prime"),
+        ([9, 3], "9 is not prime"),
+        ([1, 2], "1 is not prime"),
+        ([0, 5], "0 is not prime")])
+    def test_prime_set_checked_by_defect_and_reads(self, primes, message):
+        # both go through one check, in the order nonempty, <= N, prime
+        f = SampledFunction.constant(1.0, 1, 100)
+        for check in (lambda: elliott_defect(f, 100, primes),
+                      lambda: elliott_reads(100, primes)):
+            with pytest.raises(DomainError) as err:
+                check()
+            assert str(err.value) == message
+
+    def test_sum_invp_is_the_fsum_of_reciprocals(self):
+        f = SampledFunction.constant(1.0, 1, 11 * 50)
+        rec = elliott_defect(f, 50, [11, 2, 7, 3, 5])
+        assert rec.params["sum_invp"] == \
+            math.fsum(1.0 / p for p in self.PRIMES)
 
 
 class _ReadSpy(SampledFunction):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sumprod.diophantine as dioph
-from sumprod.averages import SampledFunction
+from sumprod.averages import SampledFunction, log_avg, uniform_avg
 from sumprod.diophantine import (_ROW_CHUNK, AlmostPrimeFamily, DiophParams,
                                  concat_conclusion_search, concat_hypothesis,
                                  dioph_verify, exp_sum, gamma_coprimality,
@@ -645,6 +645,48 @@ class TestConcat:
         # through SampledFunction.slice; S has a negative step
         f = SampledFunction.random_disc(np.random.default_rng(11), -30, 90)
         assert repr(concat_hypothesis(f, 40, [-3, 1, 2], 5, mode)) == expected
+
+    @pytest.mark.parametrize("mode", ["log", "uniform"])
+    @pytest.mark.parametrize("S", [[1, 5, 9], [-3, 1, 2], [-7, -2], [0],
+                                   [4, -4, 0, 3]])
+    def test_equals_per_shift_reference(self, mode, S):
+        N, T = 150, 6
+        f = SampledFunction.random_disc(np.random.default_rng(5), -200, 400)
+        per_n = np.zeros(N)
+        for s in S:
+            acc = np.zeros(N, dtype=np.complex128)
+            for t in range(1, T + 1):
+                a = 1 + t * s - f.lo   # f.values[a] = f(1 + t*s)
+                acc += f.values[a:a + N]
+            per_n += np.abs(acc / T) ** 2
+        per_n /= len(S)
+        mean = log_avg if mode == "log" else uniform_avg
+        want = mean(SampledFunction(1, N, per_n), N).real
+        assert concat_hypothesis(f, N, S, T, mode) == want
+
+    @pytest.mark.parametrize("lo, hi, S, need", [
+        (1, 100, [-3, 2], "[-14, 90]"),
+        (-30, 100, [-3, 5], "[-14, 105]"),
+        (1, 100, [4, 5], "[1, 105]")])
+    def test_range_error_text(self, lo, hi, S, need):
+        f = SampledFunction.constant(0.5, lo, hi)
+        with pytest.raises(RangeError) as err:
+            concat_hypothesis(f, 80, S, 5)
+        assert str(err.value) == (f"concat_hypothesis needs f on {need} "
+                                  f"but window is [{lo}, {hi}]")
+
+    def test_window_checked_once(self, monkeypatch):
+        calls = []
+        covers = SampledFunction.covers
+
+        def spy(self, lo, hi):
+            calls.append((lo, hi))
+            return covers(self, lo, hi)
+
+        monkeypatch.setattr(SampledFunction, "covers", spy)
+        concat_hypothesis(SampledFunction.constant(0.5, -30, 120), 80,
+                          [-3, 1, 2], 5)
+        assert calls == [(-14, 90)]
 
     def test_conclusion_constant(self):
         f = SampledFunction.constant(1.0, 1, 3000)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sumprod.averages import SampledFunction
+from sumprod.averages import SampledFunction, log_avg
 from sumprod.diophantine import concat_hypothesis
 from sumprod.errors import DomainError, RangeError
-from sumprod.projections import (NormParams, almost_period_defect,
+from sumprod.projections import (NormParams, _window_means,
+                                 almost_period_defect,
                                  maximal_eps, maximal_lower,
                                  norm_compare_defect, proj_check_defect,
                                  project, pythagoras_defect, u1_norm,
@@ -146,6 +147,52 @@ class TestProjCheck:
             f = disc(seed, -500, 4000)
             rec = proj_check_defect(f, 2, 15, 60, 2000)
             assert rec.ratio <= 1.0
+
+
+class TestOneCheckedRead:
+    """A window read checks its range once, in SampledFunction.slice, and
+    the RangeError names the operation."""
+
+    @pytest.fixture
+    def covers_calls(self, monkeypatch):
+        calls = []
+        covers = SampledFunction.covers
+
+        def spy(self, lo, hi):
+            calls.append((lo, hi))
+            return covers(self, lo, hi)
+
+        monkeypatch.setattr(SampledFunction, "covers", spy)
+        return calls
+
+    def test_log_avg(self, covers_calls):
+        log_avg(disc(1, 1, 100), 80)
+        assert covers_calls == [(1, 80)]
+
+    def test_window_means(self, covers_calls):
+        _window_means(disc(2, 1, 200), 150, 3, 10)
+        assert covers_calls == [(1, 180)]
+
+    def test_proj_check(self, covers_calls):
+        # pf's window, then f's, then g's inside u1log_norm
+        proj_check_defect(disc(3, -40, 260), 2, 5, 10, 200)
+        assert covers_calls == [(1, 220)] * 3
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda: _window_means(SampledFunction.constant(0.5, 5, 60),
+                               50, 2, 10),
+         "progression average needs f on [1, 70] but window is [5, 60]"),
+        (lambda: proj_check_defect(SampledFunction.constant(0.5, 1, 200),
+                                   2, 3, 10, 190),
+         "proj_check needs f on [1, 210] but window is [5, 196]"),
+        (lambda: maximal_lower(SampledFunction.constant(0.5, 1, 100),
+                               SampledFunction.constant(0.5, 1, 100),
+                               2, 5, 100),
+         "maximal_lower needs f on [1, 100] but window is [9, 92]")])
+    def test_range_error_text(self, read, message):
+        with pytest.raises(RangeError) as err:
+            read()
+        assert str(err.value) == message
 
 
 class TestPythagoras:
