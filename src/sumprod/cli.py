@@ -8,7 +8,11 @@ fixed config and seed reproduce byte-identical files.
 Exit codes: 0 success, 1 an asserted bound failed, 2 configuration
 error, 3 capacity/budget error or out of memory, 4 search budget
 exhausted (indeterminate).  Config precedence is CLI flags > config file >
-defaults; the resolved values are logged in the artifact header.
+defaults.  A JSON artifact's header (its "config" object) holds every
+flag of the subcommand except --config and --output, as resolved (dioph
+logs the other modes' flags too, though it ignores them), plus
+"precedence" and "version"; without those two keys it is a --config file
+that replays the run.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .errors import CapacityError, DomainError, RangeError
 from .numtheory import MultiplicativeTables, sieve_primes
 from .projections import NormParams, project, u1_norm, u1log_norm
 from .search import sp_number
-from .sieve import band_decompose, verify_sieve_bounds
+from .sieve import (DEFAULT_A, DEFAULT_CEXP, band_decompose,
+                    verify_sieve_bounds)
 from .suites import (DEFAULT_SEED, SUITE_CONSTANTS, max_ratio, pass_rate,
                      records_to_csv, run_suite, suite_names)
 
@@ -40,6 +45,9 @@ EXIT_BOUND_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_BUDGET = 4
+
+# namespace entries that are no flag of a subcommand
+_PLUMBING = frozenset({"func", "parser", "command", "config"})
 
 
 def _emit(outdir: str, name: str, text: str):
@@ -50,21 +58,21 @@ def _emit(outdir: str, name: str, text: str):
         fh.write(text)
 
 
-def _emit_json(outdir: str, name: str, payload: dict, header: dict):
-    _emit(outdir, name, json.dumps({"config": header, "result": payload},
-                                   sort_keys=True, indent=1) + "\n")
+def _emit_json(args, name: str, payload: dict):
+    """Write {"config": header, "result": payload}.  The header is every
+    resolved flag but --config and --output (left out so that reruns
+    into other directories stay byte-identical)."""
+    header = {k: v for k, v in vars(args).items()
+              if k not in _PLUMBING and k != "output"}
+    header["precedence"] = "cli>config-file>defaults"
+    header["version"] = __version__
+    _emit(args.output, name, json.dumps({"config": header, "result": payload},
+                                        sort_keys=True, indent=1) + "\n")
 
 
 def _emit_csv(outdir: str, name: str, rows: list):
     _emit(outdir, name,
           "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
-
-
-def _header(args, keys) -> dict:
-    resolved = {k: getattr(args, k) for k in keys}
-    resolved["precedence"] = "cli>config-file>defaults"
-    resolved["version"] = __version__
-    return resolved
 
 
 def _config_flags(args) -> list:
@@ -83,9 +91,7 @@ def _config_flags(args) -> list:
     if not isinstance(values, dict):
         error("config file must hold a JSON object")
     values = {k.replace("-", "_"): v for k, v in values.items()}
-    unknown = sorted(set(values) - (set(vars(args))
-                                    - {"func", "parser", "command",
-                                       "config"}))
+    unknown = sorted(set(values) - (set(vars(args)) - _PLUMBING))
     if unknown:
         error(f"config keys that name no {args.command} flag: "
               + ", ".join(map(repr, unknown)))
@@ -122,9 +128,7 @@ def _cmd_extremal(args) -> int:
         print(f"extremal r={r}: N={col.N}, "
               + ("no monochromatic pair" if wit is None
                  else f"WITNESS {wit}"))
-    _emit_json(args.output, "extremal.json",
-               {"results": results, "all_clean": ok},
-               _header(args, ["r", "all_up_to"]))
+    _emit_json(args, "extremal.json", {"results": results, "all_clean": ok})
     return EXIT_OK if ok else EXIT_BOUND_FAILED
 
 
@@ -133,8 +137,7 @@ def _cmd_detect(args) -> int:
     wit = find_monochromatic(col)
     payload = {"N": col.N, "r": col.r,
                "witness": None if wit is None else vars(wit)}
-    _emit_json(args.output, "detect.json", payload,
-               _header(args, ["coloring"]))
+    _emit_json(args, "detect.json", payload)
     print("no monochromatic pair" if wit is None else f"witness: {wit}")
     return EXIT_OK
 
@@ -144,8 +147,7 @@ def _cmd_threshold(args) -> int:
         args.time_budget = 60.0  # exploratory runs must stay budgeted
     res = sp_number(args.r, nmax=args.nmax,
                     time_budget_s=args.time_budget)
-    _emit_json(args.output, "threshold.json", res.to_obj(),
-               _header(args, ["r", "nmax"]))
+    _emit_json(args, "threshold.json", res.to_obj())
     if res.n_star is None:
         print(f"threshold r={args.r}: not found <= {res.exhausted_at} "
               f"({res.note})")
@@ -184,9 +186,8 @@ def _cmd_norms(args) -> int:
             np_ = u1log_norm(project(f, q, h), p)
             rows.append([q, h, repr(nl), repr(nu), repr(np_)])
     _emit_csv(args.output, "norms.csv", rows)
-    _emit_json(args.output, "norms.json",
-               {"table": [dict(zip(rows[0], row)) for row in rows[1:]]},
-               _header(args, ["N", "q", "H", "function", "alpha", "seed"]))
+    _emit_json(args, "norms.json",
+               {"table": [dict(zip(rows[0], row)) for row in rows[1:]]})
     print(f"norms table: {len(rows) - 1} rows -> norms.csv")
     return EXIT_OK
 
@@ -198,10 +199,9 @@ def _cmd_lemma_check(args) -> int:
     ceiling = SUITE_CONSTANTS[args.name]
     mr, pr = max_ratio(records), pass_rate(records)
     ok = mr <= ceiling and pr == 1.0
-    _emit_json(args.output, f"lemma_{args.name}.json",
+    _emit_json(args, f"lemma_{args.name}.json",
                {"draws": args.draws, "max_ratio": repr(mr),
-                "pass_rate": pr, "ceiling": ceiling, "ok": ok},
-               _header(args, ["name", "seed", "draws"]))
+                "pass_rate": pr, "ceiling": ceiling, "ok": ok})
     print(f"lemma-check {args.name}: draws={args.draws} "
           f"max_ratio={mr:.6g} ceiling={ceiling} pass_rate={pr:.3f} "
           f"-> {'ok' if ok else 'FAIL'}")
@@ -219,8 +219,7 @@ def _parse_intervals(text: str) -> list:
 def _cmd_dioph(args) -> int:
     if args.mode == "vino":
         res = vino_verify(args.alpha, args.T, args.delta1, args.delta2)
-        _emit_json(args.output, "vino.json", vars(res),
-                   _header(args, ["alpha", "T", "delta1", "delta2"]))
+        _emit_json(args, "vino.json", vars(res))
         print(f"vino: hypothesis={res.hypothesis_holds} q={res.q} "
               f"alarm={res.alarm}")
         return EXIT_BOUND_FAILED if res.alarm else EXIT_OK
@@ -229,8 +228,7 @@ def _cmd_dioph(args) -> int:
         rep = weyl_structure_scan(tables, args.X, args.m, args.eps,
                                   exponent=args.exponent,
                                   grid_points=args.grid)
-        _emit_json(args.output, "weyl.json", rep.to_obj(),
-                   _header(args, ["X", "m", "eps", "exponent", "grid"]))
+        _emit_json(args, "weyl.json", rep.to_obj())
         print(f"weyl: obligated={len(rep.rows)} all_pass={rep.all_pass} "
               f"empirical_E={rep.empirical_E:.4g}")
         return EXIT_OK if rep.all_pass else EXIT_BOUND_FAILED
@@ -248,9 +246,7 @@ def _cmd_dioph(args) -> int:
     levels = [float(v) for v in args.levels.split(",")]
     rep = dioph_verify(S, params, levels, grid_points=args.grid,
                        want_empirical_L=args.empirical_L)
-    _emit_json(args.output, "dioph.json", rep.to_obj(),
-               _header(args, ["set", "D", "intervals", "j", "L", "Lp",
-                              "levels", "grid"]))
+    _emit_json(args, "dioph.json", rep.to_obj())
     _emit_csv(args.output, "dioph_summary.csv", rep.csv_summary_rows())
     print(f"dioph: levels={levels} all_pass={rep.all_pass} "
           f"certified={rep.certified} empirical_L={rep.empirical_L}")
@@ -263,8 +259,7 @@ def _cmd_sieve(args) -> int:
     dec = band_decompose(args.X, args.R, args.Q, cexp=args.cexp, A=args.A,
                          variant=args.variant)
     rep = verify_sieve_bounds(dec)
-    _emit_json(args.output, "sieve_report.json", rep.to_obj(),
-               _header(args, ["X", "R", "Q", "cexp", "A", "variant"]))
+    _emit_json(args, "sieve_report.json", rep.to_obj())
     if args.export_decomposition:
         _emit(args.output, "decomposition.json", dec.export_json() + "\n")
     ok = all(rep.checks.values())
@@ -283,8 +278,7 @@ def _cmd_richness(args) -> int:
                          kmax=args.kmax)
     rep = richness_scan(col, cfg)
     _emit_csv(args.output, "richness.csv", rep.to_csv_rows())
-    _emit_json(args.output, "richness.json", rep.to_obj(),
-               _header(args, ["r", "V", "imax", "windows", "kmax"]))
+    _emit_json(args, "richness.json", rep.to_obj())
     print(f"richness: N={rep.N} selected color={rep.selected_color} "
           f"hits={rep.hits_per_color}")
     return EXIT_OK
@@ -388,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sieve level; default X^(1/4) (X^(1/10) is "
                         "degenerate below desk scale)")
     p.add_argument("--Q", type=int, default=6)
-    p.add_argument("--cexp", type=_finite_float, default=0.125)
-    p.add_argument("--A", type=_finite_float, default=4.0)
+    p.add_argument("--cexp", type=_finite_float, default=DEFAULT_CEXP)
+    p.add_argument("--A", type=_finite_float, default=DEFAULT_A)
     p.add_argument("--variant", default="mu_squared",
                    choices=["mu_squared", "mu"])
     p.add_argument("--export-decomposition", action="store_true")

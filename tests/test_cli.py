@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,12 @@ from sumprod.coloring import extremal_coloring
 
 def run(args):
     return main(args)
+
+
+def subparsers():
+    """The subcommands' parsers, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def dir_digest(path):
@@ -243,9 +250,7 @@ class TestParser:
     def test_only_time_budget_takes_a_plain_float(self):
         # a plain float type lets nan and inf through to the library;
         # for --time-budget inf means no budget
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        plain = [(name, a.dest) for name, p in sub.choices.items()
+        plain = [(name, a.dest) for name, p in subparsers().items()
                  for a in p._actions if a.type is float]
         assert plain == [("threshold", "time_budget")]
 
@@ -306,6 +311,92 @@ class TestConfigFile:
         assert [row["r"] for row in obj["result"]["results"]] == [1, 2, 3, 4]
 
 
+def header(outdir):
+    """The config object of the one JSON artifact in outdir that has one."""
+    (cfg,) = [obj["config"] for obj in
+              (json.loads(p.read_text()) for p in Path(outdir).glob("*.json"))
+              if "config" in obj]
+    return cfg
+
+
+class TestHeader:
+    """A JSON artifact's header is every flag of the subcommand but
+    --config and --output, as resolved, plus precedence and version."""
+
+    # non-default command lines; the second list holds the required flags
+    CASES = [
+        (["extremal", "--r", "5", "--all-up-to"], []),
+        (["detect"], ["--coloring", "col.json"]),
+        (["threshold", "--r", "3", "--nmax", "100"], []),
+        (["norms", "--N", "1500", "--q", "1,3", "--H", "8", "--function",
+          "phase", "--alpha", "0.3"], []),
+        (["lemma-check", "--draws", "5", "--seed", "11"],
+         ["--name", "shift"]),
+        (["dioph", "--set", "almostprime", "--intervals", "100:140",
+          "--levels", "0.1", "--grid", "4096", "--empirical-L"], []),
+        (["dioph", "--mode", "vino", "--alpha", "0.3", "--T", "500"], []),
+        (["dioph", "--mode", "weyl", "--X", "1000", "--grid", "4096"], []),
+        (["sieve", "--X", "10000", "--Q", "4", "--export-decomposition"],
+         []),
+        (["richness", "--coloring", "col.json", "--V", "3"], []),
+    ]
+    IDS = ["extremal", "detect", "threshold", "norms", "lemma-check",
+           "dioph-verify", "dioph-vino", "dioph-weyl", "sieve", "richness"]
+
+    @pytest.fixture(autouse=True)
+    def _cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("col.json").write_text(extremal_coloring(4).to_rle_json())
+
+    @pytest.mark.parametrize("argv, required", CASES, ids=IDS)
+    def test_header_is_every_flag(self, argv, required):
+        run(argv + required + ["--output", "o"])
+        flags = {a.dest for a in subparsers()[argv[0]]._actions} - {
+            "help", "config", "output"}
+        assert set(header("o")) == flags | {"precedence", "version"}
+
+    @pytest.mark.parametrize("argv, required", CASES, ids=IDS)
+    def test_header_replays_the_run(self, argv, required):
+        code = run(argv + required + ["--output", "a"])
+        values = header("a")
+        del values["precedence"], values["version"]
+        Path("cfg.json").write_text(json.dumps(values))
+        assert run(argv[:1] + required + ["--config", "cfg.json",
+                                          "--output", "b"]) == code
+        assert dir_digest("b") == dir_digest("a")
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["threshold", "--r", "3", "--nmax", "100"], "time_budget", 60.0),
+        (["richness", "--coloring", "col.json"], "coloring", "col.json"),
+        (["sieve", "--X", "10000", "--export-decomposition"],
+         "export_decomposition", True),
+        (["sieve", "--X", "10000"], "R", 10.0),
+        (["sieve", "--X", "10000"], "cexp", 0.125),
+        (["sieve", "--X", "10000"], "A", 4.0),
+        (["dioph", "--levels", "0.1", "--grid", "4096"], "mode", "verify"),
+        (["dioph", "--mode", "vino"], "mode", "vino"),
+        (["dioph", "--mode", "weyl", "--X", "1000", "--grid", "4096"],
+         "mode", "weyl"),
+    ], ids=["threshold-budget", "richness-coloring", "sieve-export",
+            "sieve-R", "sieve-cexp", "sieve-A", "dioph-verify", "dioph-vino",
+            "dioph-weyl"])
+    def test_header_logs_resolved_value(self, argv, key, value):
+        run(argv + ["--output", "o"])
+        assert header("o")[key] == value
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("sumprod ")]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+
 class TestDeterminism:
     CASES = [
         ["extremal", "--r", "6"],
@@ -332,19 +423,23 @@ class TestDeterminism:
 class TestDefaultArtifactsPinned:
     """sha256 of every default-config CLI artifact directory, recorded
     from the code before the one-path fold; sieve's was recorded again
-    when sieve_report.json gained the band Fourier-sup enclosures.  Each
-    subcommand runs in a fresh working directory with relative paths; a
-    digest covers every file under the output directory in sorted order,
-    as relative path, a NUL byte, then the file's bytes."""
+    when sieve_report.json gained the band Fourier-sup enclosures.  The
+    threshold, dioph, sieve and richness digests were recorded again when
+    the JSON header became every resolved flag: their headers gained the
+    flags they had left out (time_budget; mode and the other modes'
+    flags; export_decomposition; coloring), and no result or CSV byte
+    changed.  Each subcommand runs in a fresh working directory with
+    relative paths; a digest covers every file under the output directory
+    in sorted order, as relative path, a NUL byte, then the file's bytes."""
 
     SEED = "1729"
     CASES = [
         ("extremal", ["extremal", "--r", "12", "--all-up-to"],
          "8f549cca5e9d5dde4100850c954d3ebfaa4cd6161a613ae98e0195a031217922"),
         ("threshold-r1", ["threshold", "--r", "1"],
-         "5a292bad8125e0e8ef78cb50e096150f3b9e36c7f02b8c498e8bf9e213c8b46a"),
+         "d2f0d3df5eb505fc986d69b8d6d3abe59cd7d12c6d778c59e464c047ca9b4916"),
         ("threshold-r2", ["threshold", "--r", "2"],
-         "70114dc0e3e99fd2e6cf41b68b824c9b45cc02182046aa8b38be973867815bfb"),
+         "dd4414dd5068f0f6a75c44bc1013a7ccab7638a9ef73e88b7dcf1f3e73ea104b"),
         ("detect", ["detect", "--coloring", "inputs/extremal.json"],
          "8e68d919596b5ed8d02b85d653d972e7af5276a846d826ce9af3f7e02ecb3746"),
         ("norms", ["norms", "--seed", SEED],
@@ -352,15 +447,15 @@ class TestDefaultArtifactsPinned:
         ("lemma-check", ["lemma-check", "--name", "maximal", "--seed", SEED],
          "5b43e643c405722845e40b59df26de6608a16293ce209a4b38dcce293a7d0ed6"),
         ("dioph-verify", ["dioph", "--mode", "verify"],
-         "415c9b31ad4faa7a5fb4f7ee59cc58830d8406c32f0286960dcc6da648a34f62"),
+         "dbf9fb0d26735870a0980c4b658881238e588ca42c8cb87099bb730091358aee"),
         ("dioph-weyl", ["dioph", "--mode", "weyl"],
-         "83daf8da255a3f6cf7bcedb3303c412fe282ba2db0a426c15ec00091053755cf"),
+         "94e1d4509683e62df4c59f73619357966056660e74490e0e6f365286c1012a5a"),
         ("dioph-vino", ["dioph", "--mode", "vino"],
-         "4f39e84a5817cc56367d02bc6fb07b2b356cdfc75de1ae5fa79385c708b4266e"),
+         "fb5a3f9084202fa57bac89e544005be9ee54da587e41a1d6a272417ba19f6b26"),
         ("sieve", ["sieve", "--export-decomposition"],
-         "0c222b30399be03c15cd69de2974830a41b2650effff55910af81b88ac12dd41"),
+         "9c6fa8567947eb9e935a52c595e8b9a0082f13e9d189dcd06e6a4ab6a543d60a"),
         ("richness", ["richness"],
-         "1f3a7c0c78c6654dc3cd3529a0dfa552a07b02cb32971d177bacb4e82a08460f"),
+         "ab1787fefd7217121dbfd1446a388902e5e4e0848e8e5a5703527670168376fa"),
     ]
 
     # single files whose bytes are pinned apart from their directory's
