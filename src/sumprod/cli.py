@@ -12,7 +12,11 @@ defaults.  A JSON artifact's header (its "config" object) holds every
 flag of the subcommand except --config and --output, as resolved (dioph
 logs the other modes' flags too, though it ignores them), plus
 "precedence" and "version"; without those two keys it is a --config file
-that replays the run.
+that replays the run.  Its "result" object is the report dataclass's
+fields, each under its own name and re-encoded only where JSON needs it
+(the coloring as coloring_rle, arrays as lists, some floats as repr
+strings), plus the derived failures and all_pass; extremal, detect,
+norms and lemma-check have no report class and build their result here.
 """
 
 from __future__ import annotations
@@ -339,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("lemma-check", _cmd_lemma_check,
                    help="seeded defect suite for one averaging or "
-                        "projection inequality (shift, residue-split, "
-                        "frobenius, dilate, elliott, gp-compar, "
-                        "almost-period, proj-check, pythagoras, maximal)")
+                        "projection inequality ("
+                        + ", ".join(suite_names()) + ")")
     p.add_argument("--name", required=True, choices=suite_names())
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--draws", type=int, default=200)

@@ -178,17 +178,14 @@ class RichnessReport:
         return rows
 
     def to_obj(self) -> dict:
-        return {"N": self.N, "r": self.r,
+        return {**vars(self),
                 "b_values": [int(b) for b in self.b_values],
                 "table": [[repr(float(v)) for v in row]
                           for row in self.table],
-                "selected_color": self.selected_color,
                 "threshold": repr(self.threshold),
-                "hits_per_color": self.hits_per_color,
                 "pair_stats": [
                     {"b": int(b), "bp": int(bp), "k": k, "value": repr(v)}
-                    for (b, bp, k, v) in self.pair_stats],
-                "mapping_note": self.mapping_note}
+                    for (b, bp, k, v) in self.pair_stats]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=1)

@@ -25,7 +25,7 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -160,10 +160,9 @@ class DiophRows(Sequence):
     that is read; len, the failures and the verdict read the columns.
     """
 
-    def __init__(self, theta, abs_sum, level, q, err, passed, vacuous):
-        self.columns = {"theta": theta, "abs_sum": abs_sum, "level": level,
-                        "q": q, "err": err, "passed": passed,
-                        "vacuous": vacuous}
+    def __init__(self, *columns):
+        self.columns = dict(zip((f.name for f in fields(DiophRow)), columns,
+                                strict=True))
 
     @classmethod
     def concat(cls, parts: list) -> "DiophRows":
@@ -235,19 +234,9 @@ class DiophReport(_RowReport):
     empirical_L: float | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "params": vars(self.params),
-            "set_size": self.set_size,
-            "diam": self.diam,
-            "grid_points": self.grid_points,
-            "spacing": self.spacing,
-            "required_spacing": self.required_spacing,
-            "certified": self.certified,
-            "empirical_L": self.empirical_L,
-            "levels": [vars(s) for s in self.levels],
-            "rows": self.rows.dicts(),
-            "failures": self.failures.dicts(),
-        }
+        return {**vars(self), "params": vars(self.params),
+                "levels": [vars(s) for s in self.levels],
+                "rows": self.rows.dicts(), "failures": self.failures.dicts()}
 
     def csv_summary_rows(self) -> list:
         out = [["level", "q_cap", "err_threshold", "vacuous", "n_obligated",
@@ -532,13 +521,17 @@ def gamma_family(fam: AlmostPrimeFamily) -> float:
     return prod - 1.0
 
 
-def vonmangoldt_exp_sum(tables: MultiplicativeTables, X: int, m: int,
-                        theta: float) -> complex:
-    """sum_{n <= X} Lambda(n) e(n^m theta), unnormalized."""
+def _check_weyl_range(tables: MultiplicativeTables, X: int, m: int):
     if X < 1 or m < 1:
         raise DomainError("need X, m >= 1")
     if X > tables.limit:
         raise RangeError(f"X={X} exceeds table limit {tables.limit}")
+
+
+def vonmangoldt_exp_sum(tables: MultiplicativeTables, X: int, m: int,
+                        theta: float) -> complex:
+    """sum_{n <= X} Lambda(n) e(n^m theta), unnormalized."""
+    _check_weyl_range(tables, X, m)
     n = np.arange(1, X + 1, dtype=np.float64)
     lam = tables.vonmangoldt[1: X + 1]
     return cfsum(lam * e_of(theta * n ** m))
@@ -555,11 +548,8 @@ class WeylReport(_RowReport):
     empirical_E: float
 
     def to_obj(self) -> dict:
-        return {"X": self.X, "m": self.m, "eps": self.eps,
-                "exponent": self.exponent, "grid_points": self.grid_points,
-                "empirical_E": self.empirical_E, "all_pass": self.all_pass,
-                "rows": self.rows.dicts(),
-                "failures": self.failures.dicts()}
+        return {**vars(self), "rows": self.rows.dicts(),
+                "all_pass": self.all_pass, "failures": self.failures.dicts()}
 
 
 def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
@@ -577,12 +567,9 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
-    if m < 1:
-        raise DomainError("need m >= 1")
+    _check_weyl_range(tables, X, m)
     if not exponent >= 0:  # NaN too: eps^-exponent must be a cap >= 1
         raise DomainError(f"exponent must be >= 0, got {exponent!r}")
-    if X > tables.limit:
-        raise RangeError(f"X={X} exceeds table limit {tables.limit}")
     if grid_points < 16:
         raise DomainError("grid too small")
     if grid_points > GRID_POINT_BUDGET:

@@ -76,9 +76,9 @@ class SearchCertificate:
     trace: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        obj = {"r": self.r, "N": self.N, "verdict": self.verdict,
-               "trace": self.trace, "odd_cycle": self.odd_cycle}
-        if self.coloring is not None:
+        """Every field; the coloring, when there is one, as coloring_rle."""
+        obj = dict(vars(self))
+        if obj.pop("coloring") is not None:
             obj["coloring_rle"] = self.coloring.to_rle_obj()
         return obj
 
@@ -327,8 +327,7 @@ class ThresholdResult:
     note: str = ""
 
     def to_obj(self) -> dict:
-        return {"r": self.r, "n_star": self.n_star,
-                "exhausted_at": self.exhausted_at, "note": self.note,
+        return {**vars(self),
                 "below": self.below.to_obj() if self.below else None,
                 "at": self.at.to_obj() if self.at else None}
 

@@ -2,14 +2,20 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from sumprod import cli
 from sumprod.cli import main
-from sumprod.coloring import extremal_coloring
+from sumprod.coloring import RichnessReport, extremal_coloring
+from sumprod.diophantine import DiophReport, WeylReport
+from sumprod.search import SearchCertificate, ThresholdResult
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(args):
@@ -311,17 +317,26 @@ class TestConfigFile:
         assert [row["r"] for row in obj["result"]["results"]] == [1, 2, 3, 4]
 
 
-def header(outdir):
-    """The config object of the one JSON artifact in outdir that has one."""
-    (cfg,) = [obj["config"] for obj in
+def artifact(outdir):
+    """The one JSON artifact in outdir that has a config object."""
+    (obj,) = [obj for obj in
               (json.loads(p.read_text()) for p in Path(outdir).glob("*.json"))
               if "config" in obj]
-    return cfg
+    return obj
+
+
+def header(outdir):
+    return artifact(outdir)["config"]
+
+
+def field_names(cls):
+    return {f.name for f in fields(cls)}
 
 
 class TestHeader:
     """A JSON artifact's header is every flag of the subcommand but
-    --config and --output, as resolved, plus precedence and version."""
+    --config and --output, as resolved, plus precedence and version.
+    Its result is the report's fields, and README names every file."""
 
     # non-default command lines; the second list holds the required flags
     CASES = [
@@ -384,10 +399,41 @@ class TestHeader:
         run(argv + ["--output", "o"])
         assert header("o")[key] == value
 
+    # a result written from a report: its class and the derived keys
+    # written beside the fields
+    REPORTS = {"threshold": (ThresholdResult, set()),
+               "dioph-verify": (DiophReport, {"failures"}),
+               "dioph-weyl": (WeylReport, {"all_pass", "failures"}),
+               "richness": (RichnessReport, set())}
+
+    @pytest.mark.parametrize("case", REPORTS)
+    def test_result_is_the_report_fields(self, case):
+        argv, required = self.CASES[self.IDS.index(case)]
+        run(argv + required + ["--output", "o"])
+        report, derived = self.REPORTS[case]
+        assert set(artifact("o")["result"]) == field_names(report) | derived
+
+    def test_certificates_are_their_fields(self):
+        run(["threshold", "--r", "2", "--output", "o"])
+        result = artifact("o")["result"]
+        names = field_names(SearchCertificate) - {"coloring"}
+        # the colorable [n_star - 1] carries its coloring, [n_star] none
+        assert set(result["below"]) == names | {"coloring_rle"}
+        assert set(result["at"]) == names
+
+    @pytest.mark.parametrize("argv, required", CASES, ids=IDS)
+    def test_artifacts_are_in_readme(self, argv, required):
+        run(argv + required + ["--output", "o"])
+        schemas = README.read_text().split("## Output schemas", 1)[1]
+        schemas = schemas.split("\n## ", 1)[0]
+        for name in os.listdir("o"):
+            name = re.sub(r"^lemma_[a-z-]+\.", "lemma_<name>.", name)
+            assert f"`{name}`" in schemas
+
 
 class TestReadme:
     def test_command_lines_parse(self):
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        readme = README.read_text()
         block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
         lines = [line for line in block.split("```", 1)[0].splitlines()
                  if line.startswith("sumprod ")]

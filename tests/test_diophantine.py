@@ -9,11 +9,11 @@ import pytest
 import sumprod.diophantine as dioph
 from sumprod.averages import SampledFunction, log_avg, uniform_avg
 from sumprod.diophantine import (_ROW_CHUNK, AlmostPrimeFamily, DiophParams,
-                                 concat_conclusion_search, concat_hypothesis,
-                                 dioph_verify, exp_sum, gamma_coprimality,
-                                 gamma_family, gamma_prime_window,
-                                 vino_verify, vonmangoldt_exp_sum,
-                                 weyl_structure_scan)
+                                 DiophRows, concat_conclusion_search,
+                                 concat_hypothesis, dioph_verify, exp_sum,
+                                 gamma_coprimality, gamma_family,
+                                 gamma_prime_window, vino_verify,
+                                 vonmangoldt_exp_sum, weyl_structure_scan)
 from sumprod.errors import CapacityError, DomainError, RangeError
 from sumprod.numtheory import convergent_denominators, sieve_primes
 
@@ -346,6 +346,12 @@ class TestDiophRows:
         obj = json.loads(rep.to_json())
         assert obj["rows"] == [] and obj["failures"] == []
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_wrong_column_count_raises(self, n):
+        # one column per DiophRow field, no more and no fewer
+        with pytest.raises(ValueError):
+            DiophRows(*(np.zeros(1) for _ in range(n)))
+
     def test_verdict_builds_no_row(self, prime_table, monkeypatch):
         built = []
 
@@ -596,6 +602,12 @@ class TestVonMangoldt:
     def test_weyl_rejects_m_below_one(self, tables_1e5):
         with pytest.raises(DomainError):
             weyl_structure_scan(tables_1e5, 100, 0, 0.2, grid_points=1024)
+
+    @pytest.mark.parametrize("X", [0, -5])
+    def test_weyl_rejects_X_below_one(self, tables_1e5, X):
+        # the same check as vonmangoldt_exp_sum's
+        with pytest.raises(DomainError, match=r"need X, m >= 1"):
+            weyl_structure_scan(tables_1e5, X, 1, 0.2, grid_points=1024)
 
     @pytest.mark.parametrize("exponent", [-500.0, -1e-9, float("nan")])
     def test_weyl_rejects_negative_or_nan_exponent(self, tables_1e5,
