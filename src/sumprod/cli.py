@@ -22,6 +22,7 @@ norms and lemma-check have no report class and build their result here.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -54,12 +55,22 @@ EXIT_BUDGET = 4
 _PLUMBING = frozenset({"func", "parser", "command", "config"})
 
 
-def _emit(outdir: str, name: str, text: str):
-    """Write one artifact file; every artifact goes through here."""
+def _emit(outdir: str, name: str, pieces):
+    """Write one artifact file from an iterable of its text's pieces;
+    every artifact goes through here.  The pieces go to a temporary name
+    beside it, renamed into place once the last is written, so a failure
+    midway leaves no partial file."""
     os.makedirs(outdir or ".", exist_ok=True)
-    with open(os.path.join(outdir, name), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(text)
+    path = os.path.join(outdir, name)
+    part = os.path.join(outdir, f".{name}.part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
 
 
 def _emit_json(args, name: str, payload: dict):
@@ -70,13 +81,13 @@ def _emit_json(args, name: str, payload: dict):
               if k not in _PLUMBING and k != "output"}
     header["precedence"] = "cli>config-file>defaults"
     header["version"] = __version__
-    _emit(args.output, name, json.dumps({"config": header, "result": payload},
-                                        sort_keys=True, indent=1) + "\n")
+    _emit(args.output, name, [json.dumps({"config": header, "result": payload},
+                                         sort_keys=True, indent=1), "\n"])
 
 
 def _emit_csv(outdir: str, name: str, rows: list):
     _emit(outdir, name,
-          "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+          ["\n".join(",".join(str(c) for c in row) for row in rows), "\n"])
 
 
 def _config_flags(args) -> list:
@@ -199,7 +210,7 @@ def _cmd_norms(args) -> int:
 def _cmd_lemma_check(args) -> int:
     records = run_suite(args.name, seed=args.seed, draws=args.draws)
     _emit(args.output, f"lemma_{args.name}.csv",
-          records_to_csv(records, args.name))
+          [records_to_csv(records, args.name)])
     ceiling = SUITE_CONSTANTS[args.name]
     mr, pr = max_ratio(records), pass_rate(records)
     ok = mr <= ceiling and pr == 1.0
@@ -265,7 +276,8 @@ def _cmd_sieve(args) -> int:
     rep = verify_sieve_bounds(dec)
     _emit_json(args, "sieve_report.json", rep.to_obj())
     if args.export_decomposition:
-        _emit(args.output, "decomposition.json", dec.export_json() + "\n")
+        _emit(args.output, "decomposition.json",
+              itertools.chain(dec.export_pieces(), ["\n"]))
     ok = all(rep.checks.values())
     print(f"sieve X={args.X} R={args.R:.4g} Q={args.Q}: "
           f"floor/logR={rep.majorant_min_prime_over_logR:.3f} "

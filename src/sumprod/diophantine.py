@@ -4,8 +4,11 @@ A set S of integers is (L, L', D)-diophantine when every theta whose
 exponential-sum average over S has modulus >= delta admits a denominator
 q <= (L'/delta)^L with ||q theta|| <= (L'/delta)^L / D.  dioph_verify
 turns this continuum statement into a finite scan over a rational grid
-j/M: the full spectrum on such a grid is a single DFT of the indicator
-of S mod M (exact, since e(js/M) only depends on s mod M).
+j/M: the spectrum on such a grid is the DFT of the indicator of S mod M
+(exact, since e(js/M) only depends on s mod M).  It is taken from the
+window the residues fill, diam + 1 points, in blocks (_grid_peaks), so
+memory follows the signal, not the grid; only the points that reach the
+lowest checked level are kept.
 
 Levels whose conclusion threshold (L'/delta)^L / D reaches 1/2 are
 vacuous: any theta passes with q = 1 because ||q theta|| <= 1/2 always.
@@ -36,9 +39,12 @@ from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
                         convergent_denominators, factorize, grid_convergents)
 from .projections import NormParams, u1log_norm
 
+# bounds the memory of a full-grid DFT (a window as wide as the grid);
+# a narrower window's block DFTs hold O(window) whatever M is
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
 _ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
+_BLOCK_BATCH = 2 ** 16  # points per batch of block DFT rows (_grid_peaks)
 
 
 def _float_pow(base: float, exponent: float, what: str) -> float:
@@ -248,22 +254,57 @@ class DiophReport(_RowReport):
         return out
 
 
-def _residue_spectrum(residues: np.ndarray, M: int,
-                      weights: np.ndarray) -> np.ndarray:
-    """|sum_i w_i e(j r_i / M)| for j = 0..M//2, residues r_i in [0, M).
+def _grid_peaks(residues: np.ndarray, weights: np.ndarray, M: int, lo: int,
+                width: int, floor: float, count: int = 1):
+    """The j <= M/2 at which |sum_i w_i e(j r_i / M)| / count >= floor.
 
-    The weights are accumulated at their residues in input order, so
-    the sums are those of a sequential loop (float weights also keep
-    bincount from allocating an integer table that rfft must copy), and
-    one real DFT gives every j at once.
+    Returns (js, vals): those j ascending and the scaled moduli there.
+    The residues r_i in [0, M) lie in the cyclic window [lo, lo + width)
+    mod M; shifted to start at 0 they span P points, P the least power
+    of two >= width, and no modulus changes.  Grid point a + K b, with
+    K = M/P, is entry b of the P-point DFT of x[n] e(-na/M) (block a).
+    Real input makes block K - a the conjugate of block a, so only the
+    blocks a <= K/2 are taken, a point j > M/2 standing for M - j (the
+    blocks a = 0 and a = K/2 are their own mirrors and keep their
+    j <= M/2).  Rows go through the DFT about _BLOCK_BATCH points at a
+    time, and each row's twiddle is the outer product of two e() tables
+    of about sqrt(P) values, so nothing of size M is held.  A window
+    that does not split the grid into blocks (P >= M, or P not dividing
+    M) takes one real DFT of the weights accumulated at their residues,
+    in input order, as a sequential loop would add them; its kept values
+    are packed into the front of the modulus array, and vals is a view
+    of it (held in place of a copy: a caller that keeps vals copies it).
     """
-    return np.abs(np.fft.rfft(np.bincount(residues, weights, minlength=M)))
-
-
-def _spectrum_on_grid(S: np.ndarray, M: int) -> np.ndarray:
-    """|E_{s in S} e(j s / M)| for j = 0..M//2, exact via DFT of counts."""
-    idx = np.mod(S, M).astype(np.int64)  # object arrays too: Python ints
-    return _residue_spectrum(idx, M, np.ones(idx.size)) / len(S)
+    P = 1 << (int(width) - 1).bit_length()
+    if P >= M or M % P:
+        vals = np.abs(np.fft.rfft(np.bincount(residues, weights, minlength=M)))
+        vals /= count
+        js = np.flatnonzero(vals >= floor)
+        vals[:js.size] = vals[js]
+        return js, vals[:js.size]
+    K = M // P
+    x = np.bincount((residues - lo) % M, weights, minlength=P)
+    B = 1 << (P.bit_length() // 2)  # n = h B + l, l < B
+    hB = np.arange(0, P, B, dtype=np.int64)
+    low = np.arange(B, dtype=np.int64)
+    rows = max(1, _BLOCK_BATCH // P)
+    js, vals = [], []
+    for a0 in range(0, K // 2 + 1, rows):
+        a = np.arange(a0, min(a0 + rows, K // 2 + 1), dtype=np.int64)[:, None]
+        tw = (e_of(-(a * hB % M) / M)[:, :, None]
+              * e_of(-(a * low % M) / M)[:, None, :]).reshape(a.size, P)
+        tw *= x
+        mod = np.abs(np.fft.fft(tw, axis=1))
+        mod /= count
+        r, b = np.nonzero(mod >= floor)
+        j = a[r, 0] + K * b
+        # a self-mirrored block holds j and M - j: keep j <= M/2 only
+        own = (j <= M // 2) | (2 * a[r, 0] % K != 0)
+        js.append(np.minimum(j, M - j)[own])
+        vals.append(mod[r[own], b[own]])
+    js, vals = np.concatenate(js), np.concatenate(vals)
+    order = np.argsort(js, kind="stable")
+    return js[order], vals[order]
 
 
 def best_q_on_grid(js, M: int, cap: int):
@@ -303,11 +344,12 @@ def _min_keys(js: np.ndarray, M: int, scale: float) -> np.ndarray:
     return keys
 
 
-def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
+def _empirical_L(peaks: tuple, M: int, params: DiophParams,
                  checks: list) -> float:
     """Smallest L at which every obligated j/M, j > 0, has a good q.
 
-    checks holds (delta, check level) for the non-vacuous levels.  At
+    peaks is the (js, vals) of _grid_peaks, down to the lowest check
+    level; checks holds (delta, check level) for the non-vacuous levels.  At
     level delta, with base = log(L'/delta), a convergent q of j/M with
     error err needs L >= 1, L >= log(q)/base and L >= log(err D)/base,
     that is L >= max(log K, base)/base with the key K = max(q, err D).
@@ -320,10 +362,14 @@ def _empirical_L(absvals: np.ndarray, M: int, params: DiophParams,
     """
     if not checks:
         return 0.0
-    js = np.flatnonzero(absvals >= min(c for _, c in checks))
-    js = js[js > 0]
+    js, obligated = peaks
+    low = min(c for _, c in checks)
+    if obligated.size and obligated.min() < low:  # a vacuous level's points
+        sel = obligated >= low
+        js, obligated = js[sel], obligated[sel]
+    if js.size and js[0] == 0:  # js ascend, so a view drops j = 0
+        js, obligated = js[1:], obligated[1:]
     keys = _min_keys(js, M, params.D)
-    obligated = absvals[js]
     emp_L = 0.0
     for d, check in checks:
         sel = obligated >= check
@@ -374,14 +420,20 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     required_spacing = 1.0 / req_M if req_M > 0 else 1.0
     certified = (1.0 / M) <= required_spacing
 
-    absvals = _spectrum_on_grid(S, M)
     margin = math.pi * diam / M
+    check_levels = {d: max(d - margin, 0.5 * d) for d in levels}
+    floor = min(check_levels.values())
+    peaks = _grid_peaks(np.mod(S, M).astype(np.int64), np.ones(S.size), M,
+                        int(S.min()) % M, diam + 1, floor, len(S))
     rows, summaries, checks = [], [], []
     for d in levels:
         vac = params.vacuous(d)
         cap, thresh = caps[d], params.err_threshold(d)
-        check_level = max(d - margin, 0.5 * d)
-        js = np.flatnonzero(absvals >= check_level)
+        check_level = check_levels[d]
+        js, vals = peaks
+        if check_level > floor:  # the lowest level reads every kept point
+            sel = vals >= check_level
+            js, vals = js[sel], vals[sel]
         theta = js / M
         if vac:
             q, err = np.ones_like(js), np.minimum(theta, 1.0 - theta)
@@ -398,7 +450,7 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
         keep = ~ok
         keep[:ROW_SAMPLE_CAP] = True
         n = int(np.count_nonzero(keep))
-        rows.append(DiophRows(theta[keep], absvals[js[keep]], np.full(n, d),
+        rows.append(DiophRows(theta[keep], vals[keep], np.full(n, d),
                               q[keep], err[keep], ok[keep],
                               np.full(n, vac)))
         summaries.append(LevelSummary(
@@ -406,9 +458,10 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             n_obligated=int(js.size), n_pass=n_pass,
             n_fail=int(js.size) - n_pass, worst_q_margin=worst_qm,
             worst_err_margin=worst_em))
-        del js, theta, q, err, ok, keep
-    emp_L = (_empirical_L(absvals, M, params, checks)
+        del js, vals, theta, q, err, ok, keep
+    emp_L = (_empirical_L(peaks, M, params, checks)
              if want_empirical_L else None)
+    del peaks  # the rows hold copies: free the spectrum before joining them
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
                        grid_points=M, spacing=1.0 / M,
                        required_spacing=required_spacing, certified=certified,
@@ -562,8 +615,10 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     and report the empirical minimal E that would make every obligated
     point pass.  That E is taken over all convergents of each j/M
     (_min_keys, uncapped), so it does not depend on exponent.  On the
-    rational grid j/M the sum depends only on n^m mod M, so the whole
-    spectrum is one DFT of Lambda accumulated at those residues.
+    rational grid j/M the sum depends only on n^m mod M, so the spectrum
+    is the DFT of Lambda accumulated at those residues.  While X^m < M
+    they are the n^m in [1, X^m], and _grid_peaks takes block DFTs of
+    that window; otherwise it takes one DFT of the whole grid.
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
@@ -588,18 +643,21 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
             residues = residues * base % M
         base = base * base % M
         k >>= 1
-    absvals = _residue_spectrum(residues, M, tables.vonmangoldt[1: X + 1])
+    # while X^m < M the residues are the n^m themselves, in [1, X^m]
+    lo, width = (1, X ** m) if X ** m < M else (0, M)
+    js, vals = _grid_peaks(residues, tables.vonmangoldt[1: X + 1], M, lo,
+                           width, eps * X)
 
     cap = int(math.ceil(bound))
     thresh = bound * float(X) ** (-m)
-    js = np.flatnonzero(absvals >= eps * X)
     q, err = best_q_on_grid(js, M, cap)
     ok = err <= thresh
     # E >= log(q)/log(1/eps) and E >= log(err X^m)/log(1/eps): monotone in
     # the key max(q, err X^m), so the maximum is taken on the keys
     emp_E = (math.log(float(_min_keys(js, M, scale).max()))
              / math.log(1.0 / eps) if js.size else 0.0)
-    rows = DiophRows(js / M, absvals[js], np.full(js.size, eps), q, err, ok,
+    # a copy, since vals may be a view of a grid-sized buffer
+    rows = DiophRows(js / M, vals.copy(), np.full(js.size, eps), q, err, ok,
                      np.zeros(js.size, dtype=bool))
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
                       rows=rows, empirical_E=emp_E)

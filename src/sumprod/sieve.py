@@ -149,38 +149,43 @@ class BandDecomposition:
         scale = max(1.0, float(np.max(np.abs(self.majorant))))
         return float(np.max(np.abs(self.majorant - total))) / scale
 
-    def export_json(self) -> str:
-        obj = {
+    def export_pieces(self):
+        """The export's JSON text in pieces, one float list at a time, so
+        only one list's strings are held at once (export_json joins them)."""
+        return _json_pieces({
             "X": self.X, "R": self.R, "Q": self.Q, "cexp": self.cexp,
             "A": self.A, "i0": self.i0, "i1": self.i1,
             "c": {str(q): repr(v) for q, v in sorted(self.coeffs.c.items())},
             "normalizer": repr(self.coeffs.normalizer),
-            "lam_per_period": _float_reprs(self.lam_per_table),
-            "bands": {str(i): _float_reprs(b)
-                      for i, b in zip(self.band_index, self.bands)},
-            "h": _float_reprs(self.h),
-        }
-        return _json_of_reprs(obj)
+            "lam_per_period": self.lam_per_table,
+            "bands": {str(i): b for i, b in zip(self.band_index, self.bands)},
+            "h": self.h,
+        })
+
+    def export_json(self) -> str:
+        return "".join(self.export_pieces())
 
 
-def _json_of_reprs(obj: dict) -> str:
-    """json.dumps(obj, sort_keys=True) for a dict whose lists hold reprs.
+def _json_pieces(obj: dict):
+    """json.dumps(obj, sort_keys=True) in pieces, a float array as the
+    list of its reprs.
 
     A float repr has nothing to escape, so each list is joined as it
     stands rather than passed string by string through the encoder;
     nested dicts recurse and every other value goes to json.dumps.
     """
-    items = []
-    for key in sorted(obj):
+    yield "{"
+    for n, key in enumerate(sorted(obj)):
         v = obj[key]
+        yield f"{', ' if n else ''}{json.dumps(key)}: "
         if isinstance(v, dict):
-            enc = _json_of_reprs(v)
-        elif isinstance(v, list):
-            enc = '["' + '", "'.join(v) + '"]' if v else "[]"
+            yield from _json_pieces(v)
+        elif isinstance(v, np.ndarray):
+            reprs = _float_reprs(v)
+            yield '["' + '", "'.join(reprs) + '"]' if reprs else "[]"
         else:
-            enc = json.dumps(v)
-        items.append(f"{json.dumps(key)}: {enc}")
-    return "{" + ", ".join(items) + "}"
+            yield json.dumps(v)
+    yield "}"
 
 
 def _basis_sum_on_range(c_items, X: int, length: int) -> np.ndarray:

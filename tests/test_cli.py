@@ -1,15 +1,17 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
 import shlex
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from sumprod import cli
+from sumprod import cli, sieve
 from sumprod.cli import main
 from sumprod.coloring import RichnessReport, extremal_coloring
 from sumprod.diophantine import DiophReport, WeylReport
@@ -474,9 +476,13 @@ class TestDefaultArtifactsPinned:
     the JSON header became every resolved flag: their headers gained the
     flags they had left out (time_budget; mode and the other modes'
     flags; export_decomposition; coloring), and no result or CSV byte
-    changed.  Each subcommand runs in a fresh working directory with
-    relative paths; a digest covers every file under the output directory
-    in sorted order, as relative path, a NUL byte, then the file's bytes."""
+    changed.  dioph-verify (was dbf9fb0d...58aee) and dioph-weyl (was
+    94e1d450...2a5a) were recorded again when the spectrum became block
+    DFTs over the signal's own window: only the rows' abs_sum bytes
+    moved, by about 1e-15 relative.  Each subcommand runs in a fresh
+    working directory with relative paths; a digest covers every file
+    under the output directory in sorted order, as relative path, a NUL
+    byte, then the file's bytes."""
 
     SEED = "1729"
     CASES = [
@@ -493,9 +499,9 @@ class TestDefaultArtifactsPinned:
         ("lemma-check", ["lemma-check", "--name", "maximal", "--seed", SEED],
          "5b43e643c405722845e40b59df26de6608a16293ce209a4b38dcce293a7d0ed6"),
         ("dioph-verify", ["dioph", "--mode", "verify"],
-         "dbf9fb0d26735870a0980c4b658881238e588ca42c8cb87099bb730091358aee"),
+         "639724a4871b4aba60bcdb3300acc50bf879535794c1ce3f863aead8cca3bd3a"),
         ("dioph-weyl", ["dioph", "--mode", "weyl"],
-         "94e1d4509683e62df4c59f73619357966056660e74490e0e6f365286c1012a5a"),
+         "d01d0f214fa3393979fd0a46561fbd26e766be14b51cb5f67603c7416a9f814f"),
         ("dioph-vino", ["dioph", "--mode", "vino"],
          "fb5a3f9084202fa57bac89e544005be9ee54da587e41a1d6a272417ba19f6b26"),
         ("sieve", ["sieve", "--export-decomposition"],
@@ -546,3 +552,41 @@ class TestOutOfMemory:
         out = str(tmp_path / "o")
         assert run(["extremal", "--r", "25", "--output", out]) == 3
         assert "capacity error:" in capsys.readouterr().err
+
+    def test_export_cut_short_leaves_no_file(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the third float list runs out of memory after the export has
+        # written its first pieces: nothing may stand under its name
+        calls = []
+
+        def fails_third(a):
+            calls.append(a.size)
+            if len(calls) == 3:
+                raise MemoryError()
+            return float_reprs(a)
+
+        float_reprs = sieve._float_reprs
+        monkeypatch.setattr(sieve, "_float_reprs", fails_third)
+        out = tmp_path / "o"
+        assert run(["sieve", "--export-decomposition",
+                    "--output", str(out)]) == 3
+        assert len(calls) == 3
+        assert "capacity error:" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["sieve_report.json"]
+
+
+class TestStreamedExport:
+    def test_default_decomposition_memory(self, tmp_path):
+        # written a list at a time, the 19 MB export never exists whole
+        dec = sieve.band_decompose(10 ** 5, (10 ** 5) ** 0.25, 6)
+        tracemalloc.start()
+        try:
+            cli._emit(str(tmp_path), "decomposition.json",
+                      itertools.chain(dec.export_pieces(), ["\n"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert os.listdir(tmp_path) == ["decomposition.json"]
+        assert (tmp_path / "decomposition.json").read_text() == \
+            dec.export_json() + "\n"

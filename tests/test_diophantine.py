@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sumprod.diophantine as dioph
 from sumprod.averages import SampledFunction, log_avg, uniform_avg
@@ -290,8 +292,10 @@ class TestDiophPinned:
         rep = dioph_verify(np.arange(1, 101), params, LEVELS,
                            grid_points=2 ** 16, want_empirical_L=True)
         assert repr(rep.empirical_L) == "3.702051410556147"
+        # re-pinned (was c4d123cb...cb4c58d) when the spectrum became block
+        # DFTs over the signal's window: only abs_sum moved, by < 1e-15
         assert sha(rep.to_json()) == \
-            "c4d123cb36eed09094bdf6c1c338f9aa0214f5a8f4c64598b0275b469cb4c58d"
+            "ad73bbb7792750038471861d89ba84cf2599eb0d6b7093455abc3d3e4e74e488"
         assert [row[4:7] for row in rep.csv_summary_rows()[1:]] == \
             [[446, 446, 0], [734, 734, 0], [1370, 1370, 0], [2963, 2963, 0]]
 
@@ -593,11 +597,13 @@ class TestVonMangoldt:
         assert round(ref, 4) == E
 
     def test_weyl_default_report_bytes(self, tables_1e5):
-        # recorded from the scan whose empirical E came from the capped q
+        # recorded from the scan whose empirical E came from the capped q;
+        # re-pinned (was 28d69363...6eda01ae) when the spectrum became
+        # block DFTs over [1, X]: only abs_sum moved, by < 1e-15
         rep = weyl_structure_scan(tables_1e5, 10 ** 5, 1, 0.2,
                                   grid_points=2 ** 22)
         assert sha(rep.to_json()) == \
-            "28d693636e4d0bcfdf836200b98a5922dcff2681c0f45e788a348a396eda01ae"
+            "dbb68d852d747d08f6ae25fd219ff50ab4f324098a904befe30e029aa975491f"
 
     def test_weyl_rejects_m_below_one(self, tables_1e5):
         with pytest.raises(DomainError):
@@ -738,31 +744,197 @@ class TestConcat:
             assert q <= qmax and norm >= floor
 
 
+def dense_peaks(residues, weights, M, lo, width, floor, count=1):
+    """_grid_peaks as one full real DFT over the grid, whatever the window:
+    the dense spectrum every scan took before the block DFTs."""
+    absvals = np.abs(np.fft.rfft(np.bincount(residues, weights,
+                                             minlength=M))) / count
+    js = np.flatnonzero(absvals >= floor)
+    return js, absvals[js]
+
+
+def add_at_spectrum(residues, weights, M, count=1):
+    """|sum_i w_i e(j r_i / M)| / count for j <= M/2 by sequential adds."""
+    acc = np.zeros(M, dtype=np.float64)
+    np.add.at(acc, residues, weights)
+    return np.abs(np.fft.rfft(acc)) / count
+
+
+def clear_floors(vals):
+    """Floors that no value lies within 1e-9 of, at or above 1e-3 of the
+    largest value (below it a 1e-12 relative bound would measure only
+    rounding), plus one floor above every value."""
+    u = np.sort(vals)
+    top = float(u[-1]) if u.size else 0.0
+    floors = [2.0 * top + 1.0]
+    if top > 0 and u[0] >= 1e-3 * top:
+        floors.append(float(u[0]) / 2)
+    gaps = np.flatnonzero((u[1:] > u[:-1] * (1 + 1e-9) + 1e-300)
+                          & (u[:-1] >= 1e-3 * top))
+    floors += ((u[gaps] + u[gaps + 1]) / 2).tolist()
+    return floors
+
+
 class TestSpectrumGrid:
+    """_grid_peaks against two oracles: exp_sum point by point, and the
+    dense real DFT of weights added one by one (np.add.at)."""
+
     def test_spectrum_matches_exp_sum(self):
-        from sumprod.diophantine import _spectrum_on_grid
         rng = np.random.default_rng(4)
         S = np.sort(rng.choice(np.arange(1, 5000), size=120, replace=False))
-        M = 1024
-        spec = _spectrum_on_grid(S, M)
-        for j in (0, 1, 17, 333, 512):
-            direct = abs(exp_sum(S, j / M))
-            assert abs(spec[j] - direct) < 1e-9
+        diam = int(S[-1] - S[0])
+        # 1024 < diam takes the full DFT; 2^16 the blocks (P = 8192, K = 8)
+        for M in (1024, 2 ** 16):
+            js, vals = dioph._grid_peaks(
+                np.mod(S, M), np.ones(S.size), M, int(S[0]) % M, diam + 1,
+                0.0, S.size)
+            assert np.array_equal(js, np.arange(M // 2 + 1))
+            for j in (0, 1, 17, 333, 512, M // 2 - 1, M // 2):
+                direct = abs(exp_sum(S, j / M))
+                assert abs(vals[j] - direct) < 1e-9, (M, j)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_residue_spectrum_equals_add_at(self, weighted):
-        # the bincount kernel must reproduce sequential accumulation
-        # bit for bit, so every artifact built on it keeps its bytes
-        from sumprod.diophantine import _residue_spectrum
+        # a window as wide as the grid takes the bincount kernel, which
+        # must reproduce sequential accumulation bit for bit, so every
+        # artifact built on it keeps its bytes
         rng = np.random.default_rng(11)
         M = 4096
         residues = rng.integers(0, M, size=20000)  # many repeats
         weights = (rng.standard_normal(residues.size) if weighted
                    else np.ones(residues.size))
-        acc = np.zeros(M, dtype=np.float64)
-        np.add.at(acc, residues, weights)
-        want = np.abs(np.fft.rfft(acc))
-        assert np.array_equal(_residue_spectrum(residues, M, weights), want)
+        want = add_at_spectrum(residues, weights, M)
+        for floor in (0.0, float(np.median(want))):
+            js, vals = dioph._grid_peaks(residues, weights, M, 0, M, floor)
+            assert np.array_equal(js, np.flatnonzero(want >= floor))
+            assert np.array_equal(vals, want[js])
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(4, 12), mult=st.sampled_from([1, 3, 5]),
+           lo_frac=st.floats(0, 1, exclude_max=True),
+           offsets=st.lists(st.integers(0, 4095), min_size=1, max_size=40),
+           signed=st.lists(st.floats(-2, 2), min_size=40, max_size=40)
+           | st.none(),
+           pick=st.integers(0, 10 ** 6))
+    # a window that wraps past M (60..69 mod 64); a single element; diam + 1
+    # exactly a power of two; M/P = 2 (both blocks their own mirrors);
+    # signed weights
+    @example(k=6, mult=1, lo_frac=60 / 64, offsets=[0, 3, 9], signed=None,
+             pick=1)
+    @example(k=8, mult=1, lo_frac=0.3, offsets=[0], signed=None, pick=1)
+    @example(k=8, mult=1, lo_frac=0.5, offsets=[0, 5, 63], signed=None,
+             pick=2)
+    @example(k=7, mult=1, lo_frac=0.1, offsets=[0, 40, 50], signed=None,
+             pick=3)
+    @example(k=9, mult=1, lo_frac=0.9, offsets=[0, 7, 7, 30, 100],
+             signed=[-1.5, 0.25, 2.0, -0.75, 1.0] * 8, pick=4)
+    def test_property_equals_dense_rfft(self, k, mult, lo_frac, offsets,
+                                        signed, pick):
+        M = mult * 2 ** k
+        offsets = [o % M for o in offsets]
+        base = min(offsets)
+        width = max(offsets) - base + 1
+        lo = int(lo_frac * M)
+        residues = (lo + np.array(offsets) - base) % M
+        weights = (np.ones(residues.size) if signed is None
+                   else np.array(signed[:residues.size]))
+        want = add_at_spectrum(residues, weights, M, residues.size)
+        floors = clear_floors(want)
+        floor = floors[pick % len(floors)]
+        js, vals = dioph._grid_peaks(residues, weights, M, lo, width, floor,
+                                     residues.size)
+        want_js = np.flatnonzero(want >= floor)
+        assert np.array_equal(js, want_js)
+        assert np.allclose(vals, want[want_js], rtol=1e-12, atol=0)
+
+
+def assert_rows_equivalent(got, ref):
+    """Equal rows but for abs_sum, which agrees within 1e-12 relative."""
+    assert len(got) == len(ref)
+    for name, col in got.columns.items():
+        if name == "abs_sum":
+            assert np.allclose(col, ref.columns[name], rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(col, ref.columns[name]), name
+
+
+class TestBlockSpectrumReports:
+    """Scan reports from the block DFTs equal, row by row, those from the
+    dense spectrum (dense_peaks, patched in for _grid_peaks)."""
+
+    @staticmethod
+    def dioph_pair(monkeypatch, S, params, grid_points):
+        got = dioph_verify(S, params, LEVELS, grid_points,
+                           want_empirical_L=True)
+        with monkeypatch.context() as m:
+            m.setattr(dioph, "_grid_peaks", dense_peaks)
+            ref = dioph_verify(S, params, LEVELS, grid_points,
+                               want_empirical_L=True)
+        return got, ref
+
+    @pytest.mark.parametrize("case", ["cli-default", "q-cap", "round-trip",
+                                      "wrapping-almost-prime"])
+    def test_dioph_reports(self, monkeypatch, prime_table, case):
+        if case == "cli-default":
+            S, params, M = np.arange(1, 1001), DiophParams(2, 8, 1000.0), \
+                2 ** 22
+        elif case == "q-cap":
+            S, params, M = np.arange(1, 101), DiophParams(40, 8, 1e300), \
+                2 ** 16
+        else:
+            # round-trip: TestDiophPinned's family, diam > M (full DFT);
+            # wrapping: residues run from 2,021,027 past M = 2^21 to
+            # 2,302,603 - M, so diam < M and P = 2^19
+            windows, M = ((WINDOWS, 2 ** 16) if case == "round-trip"
+                          else ([(1000, 1100), (2000, 2100)], 2 ** 21))
+            fam = AlmostPrimeFamily.build(windows, 1, prime_table)
+            S = fam.elements
+            params = DiophParams(1, fam.k, float(fam.product_scale()))
+            if case != "round-trip":
+                assert int(S[0]) % M + int(S[-1] - S[0]) >= M > S[-1] - S[0]
+        got, ref = self.dioph_pair(monkeypatch, S, params, M)
+        assert got.levels == ref.levels
+        assert got.empirical_L == ref.empirical_L
+        assert sum(s.n_obligated for s in got.levels) > 0
+        assert_rows_equivalent(got.rows, ref.rows)
+
+    @pytest.mark.parametrize("X,m", [(10 ** 5, 1), (1000, 2)])
+    def test_weyl_reports(self, monkeypatch, tables_1e5, X, m):
+        # (10^5, 1) is the CLI default (P = 2^17); at (1000, 2) the
+        # residues n^2 fill [1, 10^6] (P = 2^20, K = 4)
+        got = weyl_structure_scan(tables_1e5, X, m, 0.2)
+        with monkeypatch.context() as mp:
+            mp.setattr(dioph, "_grid_peaks", dense_peaks)
+            ref = weyl_structure_scan(tables_1e5, X, m, 0.2)
+        assert len(got.rows) > 0
+        assert got.empirical_E == ref.empirical_E
+        assert_rows_equivalent(got.rows, ref.rows)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSignalSizedMemory:
+    """The default scans hold arrays of the signal's size, not the grid's
+    (a 2^22-point real DFT alone takes 64 MB)."""
+
+    BOUND = 16 * 2 ** 20
+
+    def test_dioph_verify(self):
+        assert traced_peak(lambda: dioph_verify(
+            np.arange(1, 1001), DiophParams(2, 8, 1000.0),
+            [0.05, 0.1, 0.2, 0.4], 2 ** 22)) < self.BOUND
+
+    def test_weyl_structure_scan(self, tables_1e5):
+        assert traced_peak(lambda: weyl_structure_scan(
+            tables_1e5, 10 ** 5, 1, 0.2, grid_points=2 ** 22)) < self.BOUND
 
 
 class TestDifferencePreset:
