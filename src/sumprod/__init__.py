@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .averages import DefectRecord, SampledFunction, log_avg, uniform_avg
 from .coloring import (Coloring, PatternWitness, RichnessConfig,
-                       extremal_coloring, find_monochromatic, richness_scan,
-                       verify_extremal)
+                       extremal_coloring, find_monochromatic, richness_scan)
 from .diophantine import (AlmostPrimeFamily, DiophParams, DiophReport,
                           concat_conclusion_search, concat_hypothesis,
                           dioph_verify, exp_sum, gamma_coprimality,
@@ -21,7 +20,7 @@ from .diophantine import (AlmostPrimeFamily, DiophParams, DiophReport,
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, RationalApprox,
                         best_rational_approx, harmonic, mertens_sum,
-                        primes_in, ramanujan_sum, sieve_primes)
+                        ramanujan_sum, sieve_primes)
 from .projections import (NormParams, almost_period_defect, maximal_lower,
                           norm_compare_defect, proj_check_defect, project,
                           pythagoras_defect, u1_norm, u1log_norm)

@@ -15,8 +15,8 @@ logs the other modes' flags too, though it ignores them), plus
 that replays the run.  Its "result" object is the report dataclass's
 fields, each under its own name and re-encoded only where JSON needs it
 (the coloring as coloring_rle, arrays as lists, some floats as repr
-strings), plus the derived failures and all_pass; extremal, detect,
-norms and lemma-check have no report class and build their result here.
+strings), and nothing derived from them; extremal, detect, norms and
+lemma-check have no report class and build their result here.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -131,11 +130,6 @@ def find_monochromatic(c: Coloring):
                                   sum=xi + y, prod=xi * y)
         y += 1
     return None
-
-
-def verify_extremal(r: int) -> bool:
-    """True iff the extremal coloring really has no monochromatic pair."""
-    return find_monochromatic(extremal_coloring(r)) is None
 
 
 @dataclass(frozen=True)
@@ -266,17 +260,3 @@ def _pair_statistic(cols: np.ndarray, color: int, b: int, bp: int,
         mask = (cols[b * n - 1] == color) & (cols[bp * prod * n - 1] == color)
         total += weight * cfsum(1.0 / n[mask]).real / hn
     return total
-
-
-def partition_identity_exact(c: Coloring, b: int):
-    """Rational check: sum_j E^log 1_{A_j}(bn) == H_{floor(N/b)} / H_N.
-
-    Returns (lhs, rhs) as exact Fractions, both multiplied by H_N.
-    """
-    m = c.N // b
-    per_color = [Fraction(0)] * c.r
-    for n in range(1, m + 1):
-        per_color[c.color_of(b * n)] += Fraction(1, n)
-    lhs = sum(per_color, Fraction(0))
-    rhs = sum((Fraction(1, n) for n in range(1, m + 1)), Fraction(0))
-    return lhs, rhs

@@ -141,7 +141,6 @@ class DiophRow:
     q: int
     err: float
     passed: bool
-    vacuous: bool = False
 
 
 @dataclass
@@ -222,10 +221,12 @@ class _RowReport:
 class DiophReport(_RowReport):
     """Scan outcome: per-level summaries plus row-level evidence.
 
-    Every failure is stored; passing rows are sampled (first 512 per
-    level) since vacuous levels can obligate a large fraction of the
-    grid.  The per-level summaries count all obligated points.  The rows
-    are columns (DiophRows); a DiophRow is built only when one is read.
+    The rows hold every failure and the first ROW_SAMPLE_CAP points of
+    each non-vacuous level; a vacuous level, where q = 1 passes every
+    point, has its summary and no rows.  The per-level summaries count
+    all obligated points.  The rows are columns (DiophRows); a DiophRow
+    is built only when one is read.  JSON writes each row once: the
+    failures are the rows with passed false.
     """
 
     params: DiophParams
@@ -242,7 +243,7 @@ class DiophReport(_RowReport):
     def to_obj(self) -> dict:
         return {**vars(self), "params": vars(self.params),
                 "levels": [vars(s) for s in self.levels],
-                "rows": self.rows.dicts(), "failures": self.failures.dicts()}
+                "rows": self.rows.dicts()}
 
     def csv_summary_rows(self) -> list:
         out = [["level", "q_cap", "err_threshold", "vacuous", "n_obligated",
@@ -389,11 +390,12 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     Each non-vacuous level makes one array call of best_q_on_grid over
     its obligated j; counts and worst margins are array reductions
     (both margins are monotone in q and err), and the rows keep the
-    first ROW_SAMPLE_CAP points of a level and every failure as columns
-    (DiophRows), so a DiophRow is built only when one is read.  The
-    empirical L takes one more walk, uncapped, over the lowest level's
-    points (_empirical_L); it stops each point at the first convergent
-    whose q reaches its scaled distance, where its key is settled.
+    first ROW_SAMPLE_CAP points of each non-vacuous level and every
+    failure as columns (DiophRows), so a DiophRow is built only when one
+    is read.  The empirical L takes one more walk, uncapped, over the
+    lowest level's points (_empirical_L); it stops each point at the
+    first convergent whose q reaches its scaled distance, where its key
+    is settled.
     """
     S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
     if S.size == 0:
@@ -448,11 +450,10 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
         else:
             worst_qm = worst_em = math.inf
         keep = ~ok
-        keep[:ROW_SAMPLE_CAP] = True
-        n = int(np.count_nonzero(keep))
-        rows.append(DiophRows(theta[keep], vals[keep], np.full(n, d),
-                              q[keep], err[keep], ok[keep],
-                              np.full(n, vac)))
+        keep[:ROW_SAMPLE_CAP] = not vac
+        rows.append(DiophRows(theta[keep], vals[keep],
+                              np.full(np.count_nonzero(keep), d), q[keep],
+                              err[keep], ok[keep]))
         summaries.append(LevelSummary(
             level=d, q_cap=cap, err_threshold=thresh, vacuous=vac,
             n_obligated=int(js.size), n_pass=n_pass,
@@ -601,8 +602,7 @@ class WeylReport(_RowReport):
     empirical_E: float
 
     def to_obj(self) -> dict:
-        return {**vars(self), "rows": self.rows.dicts(),
-                "all_pass": self.all_pass, "failures": self.failures.dicts()}
+        return {**vars(self), "rows": self.rows.dicts()}
 
 
 def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
@@ -657,8 +657,7 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     emp_E = (math.log(float(_min_keys(js, M, scale).max()))
              / math.log(1.0 / eps) if js.size else 0.0)
     # a copy, since vals may be a view of a grid-sized buffer
-    rows = DiophRows(js / M, vals.copy(), np.full(js.size, eps), q, err, ok,
-                     np.zeros(js.size, dtype=bool))
+    rows = DiophRows(js / M, vals.copy(), np.full(js.size, eps), q, err, ok)
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
                       rows=rows, empirical_E=emp_E)
 

@@ -55,13 +55,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, flags=flags)
 
 
-def primes_in(table: PrimeTable, lo: int, hi: int) -> list[int]:
-    """Sorted primes in the half-open interval [lo, hi)."""
-    if not (2 <= lo < hi):
-        raise DomainError(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    return table.primes_array(lo, hi).tolist()
-
-
 def mertens_sum(primes) -> float:
     """Compensated sum of 1/p over the given primes, left to right."""
     primes = list(primes)

@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from sumprod import cli, sieve
 from sumprod.cli import main
 from sumprod.coloring import RichnessReport, extremal_coloring
-from sumprod.diophantine import DiophReport, WeylReport
+from sumprod.diophantine import DiophReport, DiophRow, WeylReport
 from sumprod.search import SearchCertificate, ThresholdResult
 
 README = Path(__file__).parent.parent / "README.md"
@@ -103,6 +104,26 @@ class TestSubcommands:
         assert run(["dioph", "--mode", "verify", "--set", "interval",
                     "--D", "100", "--levels", "0.1,0.4",
                     "--grid", str(2 ** 16), "--output", out]) == 0
+
+    def test_dioph_rows_hold_every_failure_once(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run(["dioph", "--set", "almostprime", "--L", "1", "--Lp", "2",
+                    "--levels", "0.2,0.4", "--grid", str(2 ** 16),
+                    "--output", out]) == 1
+        result = artifact(out)["result"]
+        assert "failures" not in result
+        n_fail = sum(s["n_fail"] for s in result["levels"])
+        assert sum(not r["passed"] for r in result["rows"]) == n_fail > 0
+
+    def test_dioph_vacuous_levels_write_no_rows(self, tmp_path):
+        # at the interval default only 0.4 is non-vacuous: it writes its
+        # first 512 points, and the vacuous levels keep only summaries
+        out = str(tmp_path / "o")
+        assert run(["dioph", "--output", out]) == 0
+        result = artifact(out)["result"]
+        assert {s["level"]: s["vacuous"] for s in result["levels"]} == \
+            {0.4: False, 0.2: True, 0.1: True, 0.05: True}
+        assert Counter(r["level"] for r in result["rows"]) == {0.4: 512}
 
     def test_dioph_vino(self, tmp_path):
         out = str(tmp_path / "o")
@@ -401,19 +422,15 @@ class TestHeader:
         run(argv + ["--output", "o"])
         assert header("o")[key] == value
 
-    # a result written from a report: its class and the derived keys
-    # written beside the fields
-    REPORTS = {"threshold": (ThresholdResult, set()),
-               "dioph-verify": (DiophReport, {"failures"}),
-               "dioph-weyl": (WeylReport, {"all_pass", "failures"}),
-               "richness": (RichnessReport, set())}
+    # a result written from a report, and the report's class
+    REPORTS = {"threshold": ThresholdResult, "dioph-verify": DiophReport,
+               "dioph-weyl": WeylReport, "richness": RichnessReport}
 
     @pytest.mark.parametrize("case", REPORTS)
     def test_result_is_the_report_fields(self, case):
         argv, required = self.CASES[self.IDS.index(case)]
         run(argv + required + ["--output", "o"])
-        report, derived = self.REPORTS[case]
-        assert set(artifact("o")["result"]) == field_names(report) | derived
+        assert set(artifact("o")["result"]) == field_names(self.REPORTS[case])
 
     def test_certificates_are_their_fields(self):
         run(["threshold", "--r", "2", "--output", "o"])
@@ -443,6 +460,12 @@ class TestReadme:
         parser = cli.build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+    def test_row_schema_is_the_row_type(self):
+        # README's dioph row keys are DiophRow's fields, in order
+        text = re.search(r"A row is `\{(.*?)\}`", README.read_text(), re.S)
+        assert re.findall(r'"(\w+)"', text.group(1)) == \
+            [f.name for f in fields(DiophRow)]
 
 
 class TestDeterminism:
@@ -479,10 +502,15 @@ class TestDefaultArtifactsPinned:
     changed.  dioph-verify (was dbf9fb0d...58aee) and dioph-weyl (was
     94e1d450...2a5a) were recorded again when the spectrum became block
     DFTs over the signal's own window: only the rows' abs_sum bytes
-    moved, by about 1e-15 relative.  Each subcommand runs in a fresh
-    working directory with relative paths; a digest covers every file
-    under the output directory in sorted order, as relative path, a NUL
-    byte, then the file's bytes."""
+    moved, by about 1e-15 relative.  They were recorded once more
+    (was 639724a4...bd3a and d01d0f21...814f) when each row came to be
+    written once: dioph.json and weyl.json lost `failures`, weyl.json
+    `all_pass`, every row its `vacuous`, and dioph.json the rows of its
+    vacuous levels; the old JSON less those keys and rows equals the
+    new, and dioph_summary.csv is unchanged.  Each subcommand runs in a
+    fresh working directory with relative paths; a digest covers every
+    file under the output directory in sorted order, as relative path, a
+    NUL byte, then the file's bytes."""
 
     SEED = "1729"
     CASES = [
@@ -499,9 +527,9 @@ class TestDefaultArtifactsPinned:
         ("lemma-check", ["lemma-check", "--name", "maximal", "--seed", SEED],
          "5b43e643c405722845e40b59df26de6608a16293ce209a4b38dcce293a7d0ed6"),
         ("dioph-verify", ["dioph", "--mode", "verify"],
-         "639724a4871b4aba60bcdb3300acc50bf879535794c1ce3f863aead8cca3bd3a"),
+         "0386f0fe348bae98b408fc9e159ba10413a9c28314a54f88287149e43a3712aa"),
         ("dioph-weyl", ["dioph", "--mode", "weyl"],
-         "d01d0f214fa3393979fd0a46561fbd26e766be14b51cb5f67603c7416a9f814f"),
+         "9bed9245faf9722d424e5246d4e46bdc1f0f1ff05d07f241b335cc968321a2b0"),
         ("dioph-vino", ["dioph", "--mode", "vino"],
          "fb5a3f9084202fa57bac89e544005be9ee54da587e41a1d6a272417ba19f6b26"),
         ("sieve", ["sieve", "--export-decomposition"],

@@ -1,14 +1,12 @@
 import hashlib
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumprod.coloring import (Coloring, PatternWitness, RichnessConfig,
                               extremal_coloring, find_monochromatic,
-                              partition_identity_exact, richness_scan,
-                              verify_extremal)
+                              richness_scan)
 from sumprod.errors import DomainError
 from sumprod.numtheory import harmonic
 
@@ -51,7 +49,7 @@ class TestFindMonochromatic:
 
     def test_extremal_clean_small(self):
         for r in range(1, 9):
-            assert verify_extremal(r)
+            assert find_monochromatic(extremal_coloring(r)) is None
 
     def test_perturbed_boundary_detected(self):
         # moving a_2 from 9 to 8 merges 8 into the third interval and
@@ -127,18 +125,6 @@ class TestRLE:
     def test_malformed_json_raises(self, text):
         with pytest.raises(DomainError, match="N, r and runs"):
             Coloring.from_rle_json(text)
-
-
-class TestPartitionIdentity:
-    def test_exact_rational(self):
-        rng = np.random.default_rng(6)
-        c = Coloring(N=1200, r=3,
-                     colors=rng.integers(0, 3, 1200).astype(np.int64))
-        for b in (1, 2, 7, 16):
-            lhs, rhs = partition_identity_exact(c, b)
-            assert lhs == rhs
-            assert rhs == sum(Fraction(1, n)
-                              for n in range(1, 1200 // b + 1))
 
 
 class TestRichness:

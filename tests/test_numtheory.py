@@ -7,7 +7,7 @@ import pytest
 from sumprod.errors import DomainError, RangeError
 from sumprod.numtheory import (MultiplicativeTables, best_rational_approx,
                                convergent_denominators, grid_convergents,
-                               harmonic, mertens_sum, mobius, primes_in,
+                               harmonic, mertens_sum, mobius,
                                ramanujan_sum, sieve_primes)
 
 
@@ -58,26 +58,23 @@ class TestSieve:
             sieve_primes(10 ** 9)
 
 
-class TestPrimesIn:
-    def test_small_window(self, prime_table):
-        assert primes_in(prime_table, 3, 8) == [3, 5, 7]
-
-    def test_composite_run(self, prime_table):
-        assert primes_in(prime_table, 24, 29) == []
-
-    def test_against_trial_division(self, prime_table):
-        got = primes_in(prime_table, 10 ** 4, 11 * 10 ** 3)
-        assert got == trial_primes(10 ** 4, 11 * 10 ** 3)
+class TestPrimesArray:
+    @pytest.mark.parametrize("limit, lo, hi, want", [
+        (10 ** 6, 3, 8, [3, 5, 7]),
+        (10 ** 6, 24, 29, []),
+        (10 ** 6, 10 ** 4, 11 * 10 ** 3, trial_primes(10 ** 4, 11 * 10 ** 3)),
+        (1000, 990, 1001, [991, 997]),
+    ], ids=["small_window", "composite_run", "against_trial_division",
+            "window_to_the_table_end"])
+    def test_window(self, prime_table, limit, lo, hi, want):
+        table = prime_table if limit == prime_table.limit \
+            else sieve_primes(limit)
+        assert table.primes_array(lo, hi).tolist() == want
 
     def test_range_error(self, prime_table):
         with pytest.raises(RangeError):
-            primes_in(prime_table, 2, 10 ** 6 + 7)
+            prime_table.primes_array(2, 10 ** 6 + 7)
 
-    def test_window_to_the_table_end(self):
-        assert primes_in(sieve_primes(1000), 990, 1001) == [991, 997]
-
-
-class TestPrimesArray:
     def test_window_past_the_table_raises(self):
         # a window that runs past the table is refused, not truncated
         t = sieve_primes(1000)
@@ -94,7 +91,7 @@ class TestMertens:
         assert abs(mertens_sum([2, 3, 5]) - 31.0 / 30.0) < 1e-15
 
     def test_loglog_band(self, prime_table):
-        s = mertens_sum(primes_in(prime_table, 10, 10 ** 5))
+        s = mertens_sum(prime_table.primes_array(10, 10 ** 5).tolist())
         predicted = math.log(math.log(10 ** 5)) - math.log(math.log(10))
         assert abs(s - predicted) / predicted < 0.10
 
