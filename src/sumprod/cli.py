@@ -10,11 +10,12 @@ error, 3 capacity/budget error or out of memory, 4 search budget
 exhausted (indeterminate).  Config precedence is CLI flags > config file >
 defaults.  A JSON artifact's header (its "config" object) holds every
 flag of the subcommand except --config and --output, as resolved (dioph
-logs the other modes' flags too, though it ignores them), plus
-"precedence" and "version"; without those two keys it is a --config file
-that replays the run.  Its "result" object is the report dataclass's
-fields, each under its own name and re-encoded only where JSON needs it
-(the coloring as coloring_rle, arrays as lists, some floats as repr
+logs the other modes' flags and norms logs --seed for a function that
+draws none, though neither reads them), plus "precedence" and
+"version"; without those two keys it is a --config file that replays
+the run.  Its "result" object is the report dataclass's fields, each
+under its own name and re-encoded only where JSON needs it (the
+coloring as coloring_rle, arrays as lists, some floats as repr
 strings), and nothing derived from them; extremal, detect, norms and
 lemma-check have no report class and build their result here.
 """
@@ -289,6 +290,7 @@ def _cmd_sieve(args) -> int:
 def _cmd_richness(args) -> int:
     col = (_read_coloring(args.coloring) if args.coloring
            else extremal_coloring(args.r))
+    args.r = col.r  # a coloring file's r overrides --r: log the one used
     cfg = RichnessConfig(V=args.V, imax=args.imax,
                          prime_windows=tuple(_parse_intervals(args.windows)),
                          kmax=args.kmax)

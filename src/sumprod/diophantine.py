@@ -246,8 +246,7 @@ class DiophReport(_RowReport):
                 "rows": self.rows.dicts()}
 
     def csv_summary_rows(self) -> list:
-        out = [["level", "q_cap", "err_threshold", "vacuous", "n_obligated",
-                "n_pass", "n_fail", "worst_q_margin", "worst_err_margin"]]
+        out = [[f.name for f in fields(LevelSummary)]]
         for s in self.levels:
             out.append([s.level, s.q_cap, s.err_threshold, int(s.vacuous),
                         s.n_obligated, s.n_pass, s.n_fail,
@@ -272,17 +271,16 @@ def _grid_peaks(residues: np.ndarray, weights: np.ndarray, M: int, lo: int,
     of about sqrt(P) values, so nothing of size M is held.  A window
     that does not split the grid into blocks (P >= M, or P not dividing
     M) takes one real DFT of the weights accumulated at their residues,
-    in input order, as a sequential loop would add them; its kept values
-    are packed into the front of the modulus array, and vals is a view
-    of it (held in place of a copy: a caller that keeps vals copies it).
+    in input order, as a sequential loop would add them.  On both paths
+    vals is an array of its own: the spectrum it was read from is freed
+    on return.
     """
     P = 1 << (int(width) - 1).bit_length()
     if P >= M or M % P:
         vals = np.abs(np.fft.rfft(np.bincount(residues, weights, minlength=M)))
         vals /= count
         js = np.flatnonzero(vals >= floor)
-        vals[:js.size] = vals[js]
-        return js, vals[:js.size]
+        return js, vals[js]
     K = M // P
     x = np.bincount((residues - lo) % M, weights, minlength=P)
     B = 1 << (P.bit_length() // 2)  # n = h B + l, l < B
@@ -345,40 +343,30 @@ def _min_keys(js: np.ndarray, M: int, scale: float) -> np.ndarray:
     return keys
 
 
-def _empirical_L(peaks: tuple, M: int, params: DiophParams,
-                 checks: list) -> float:
-    """Smallest L at which every obligated j/M, j > 0, has a good q.
+def _empirical_exponent(peaks: tuple, M: int, D: float, levels) -> float:
+    """Smallest exponent at which every kept j/M, j > 0, has a good q.
 
-    peaks is the (js, vals) of _grid_peaks, down to the lowest check
-    level; checks holds (delta, check level) for the non-vacuous levels.  At
-    level delta, with base = log(L'/delta), a convergent q of j/M with
-    error err needs L >= 1, L >= log(q)/base and L >= log(err D)/base,
-    that is L >= max(log K, base)/base with the key K = max(q, err D).
+    peaks is the (js, vals) of _grid_peaks; levels holds (check level,
+    base) pairs.  A point whose value reaches a check level needs a
+    convergent q of j/M, with error err, such that q and err D are at
+    most e^(E base): E >= log K / base for the key K = max(q, err D).
     That bound is monotone in K, so the minimum over the convergents
-    (_min_keys) and the maximum over the obligated j are taken on the
+    (_min_keys) and the maximum over a level's points are taken on the
     float keys, and math.log meets only each level's winning key.  The
-    obligated sets are nested, so one uncapped walk over the lowest
-    level's j serves every level, and it retires each j as soon as its
-    key can no longer fall.
+    levels' points are nested, so one uncapped walk over every kept j
+    serves them all, and it retires each j as soon as its key can no
+    longer fall.  0.0 when no level holds a point j > 0.
     """
-    if not checks:
-        return 0.0
-    js, obligated = peaks
-    low = min(c for _, c in checks)
-    if obligated.size and obligated.min() < low:  # a vacuous level's points
-        sel = obligated >= low
-        js, obligated = js[sel], obligated[sel]
+    js, vals = peaks
     if js.size and js[0] == 0:  # js ascend, so a view drops j = 0
-        js, obligated = js[1:], obligated[1:]
-    keys = _min_keys(js, M, params.D)
-    emp_L = 0.0
-    for d, check in checks:
-        sel = obligated >= check
+        js, vals = js[1:], vals[1:]
+    keys = _min_keys(js, M, D)
+    exponent = 0.0
+    for check, base in levels:
+        sel = vals >= check
         if sel.any():
-            base = math.log(params.Lp / d)
-            emp_L = max(emp_L,
-                        max(math.log(float(keys[sel].max())), base) / base)
-    return emp_L
+            exponent = max(exponent, math.log(float(keys[sel].max())) / base)
+    return exponent
 
 
 def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
@@ -392,10 +380,11 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     (both margins are monotone in q and err), and the rows keep the
     first ROW_SAMPLE_CAP points of each non-vacuous level and every
     failure as columns (DiophRows), so a DiophRow is built only when one
-    is read.  The empirical L takes one more walk, uncapped, over the
-    lowest level's points (_empirical_L); it stops each point at the
-    first convergent whose q reaches its scaled distance, where its key
-    is settled.
+    is read.  The empirical L (_empirical_exponent) takes one more walk,
+    uncapped, over the points of every level, vacuous or not: a level
+    vacuous at the configured L need not be at a smaller one, so the
+    value does not depend on params.L.  It is at least 1, the least L
+    the property admits.
     """
     S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
     if S.size == 0:
@@ -427,7 +416,7 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
     floor = min(check_levels.values())
     peaks = _grid_peaks(np.mod(S, M).astype(np.int64), np.ones(S.size), M,
                         int(S.min()) % M, diam + 1, floor, len(S))
-    rows, summaries, checks = [], [], []
+    rows, summaries = [], []
     for d in levels:
         vac = params.vacuous(d)
         cap, thresh = caps[d], params.err_threshold(d)
@@ -441,7 +430,6 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             q, err = np.ones_like(js), np.minimum(theta, 1.0 - theta)
         else:
             q, err = best_q_on_grid(js, M, cap)
-            checks.append((d, check_level))
         ok = err <= thresh  # always at vacuous levels: err <= 1/2 <= thresh
         n_pass = int(np.count_nonzero(ok))
         if js.size:
@@ -460,8 +448,10 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             n_fail=int(js.size) - n_pass, worst_q_margin=worst_qm,
             worst_err_margin=worst_em))
         del js, vals, theta, q, err, ok, keep
-    emp_L = (_empirical_L(peaks, M, params, checks)
-             if want_empirical_L else None)
+    emp_L = None
+    if want_empirical_L:  # at least 1, the least L the property admits
+        emp_L = max(1.0, _empirical_exponent(peaks, M, params.D, [
+            (check_levels[d], math.log(params.Lp / d)) for d in levels]))
     del peaks  # the rows hold copies: free the spectrum before joining them
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
                        grid_points=M, spacing=1.0 / M,
@@ -614,11 +604,12 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     verify q <= eps^-E with ||q theta|| <= eps^-E * X^-m at E = exponent,
     and report the empirical minimal E that would make every obligated
     point pass.  That E is taken over all convergents of each j/M
-    (_min_keys, uncapped), so it does not depend on exponent.  On the
-    rational grid j/M the sum depends only on n^m mod M, so the spectrum
-    is the DFT of Lambda accumulated at those residues.  While X^m < M
-    they are the n^m in [1, X^m], and _grid_peaks takes block DFTs of
-    that window; otherwise it takes one DFT of the whole grid.
+    (_empirical_exponent, the walk of dioph's empirical L), so it does
+    not depend on exponent.  On the rational grid j/M the sum depends
+    only on n^m mod M, so the spectrum is the DFT of Lambda accumulated
+    at those residues.  While X^m < M they are the n^m in [1, X^m], and
+    _grid_peaks takes block DFTs of that window; otherwise it takes one
+    DFT of the whole grid.
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
@@ -633,16 +624,12 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
                        f"eps^-exponent at exponent = {exponent!r}")
     scale = _float_pow(float(X), m, f"X^m at m = {m!r}")
     M = int(grid_points)
-    # n^m mod M by square-and-multiply; every factor is below M <= 2^26,
-    # so each product stays below 2^52
+    # n^m mod M, one reduced product at a time: both factors are below
+    # M <= 2^26, so each product stays below 2^52
     base = np.arange(1, X + 1, dtype=np.int64) % M
-    residues = np.full(X, 1 % M, dtype=np.int64)
-    k = m
-    while k:
-        if k & 1:
-            residues = residues * base % M
-        base = base * base % M
-        k >>= 1
+    residues = base
+    for _ in range(m - 1):
+        residues = residues * base % M
     # while X^m < M the residues are the n^m themselves, in [1, X^m]
     lo, width = (1, X ** m) if X ** m < M else (0, M)
     js, vals = _grid_peaks(residues, tables.vonmangoldt[1: X + 1], M, lo,
@@ -652,12 +639,9 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
     thresh = bound * float(X) ** (-m)
     q, err = best_q_on_grid(js, M, cap)
     ok = err <= thresh
-    # E >= log(q)/log(1/eps) and E >= log(err X^m)/log(1/eps): monotone in
-    # the key max(q, err X^m), so the maximum is taken on the keys
-    emp_E = (math.log(float(_min_keys(js, M, scale).max()))
-             / math.log(1.0 / eps) if js.size else 0.0)
-    # a copy, since vals may be a view of a grid-sized buffer
-    rows = DiophRows(js / M, vals.copy(), np.full(js.size, eps), q, err, ok)
+    emp_E = _empirical_exponent((js, vals), M, scale,
+                                [(eps * X, math.log(1.0 / eps))])
+    rows = DiophRows(js / M, vals, np.full(js.size, eps), q, err, ok)
     return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
                       rows=rows, empirical_E=emp_E)
 

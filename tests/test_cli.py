@@ -125,6 +125,16 @@ class TestSubcommands:
             {0.4: False, 0.2: True, 0.1: True, 0.05: True}
         assert Counter(r["level"] for r in result["rows"]) == {0.4: 512}
 
+    def test_dioph_empirical_L_where_every_level_is_vacuous(self, tmp_path):
+        # at L = 3 every default level is vacuous; the empirical L still
+        # walks their points, and the definition's L >= 1 floors it
+        out = str(tmp_path / "o")
+        assert run(["dioph", "--L", "3", "--grid", str(2 ** 16),
+                    "--empirical-L", "--output", out]) == 0
+        result = artifact(out)["result"]
+        assert all(s["vacuous"] for s in result["levels"])
+        assert result["empirical_L"] == 1.0
+
     def test_dioph_vino(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["dioph", "--mode", "vino", "--alpha", "0.2",
@@ -406,6 +416,7 @@ class TestHeader:
     @pytest.mark.parametrize("argv, key, value", [
         (["threshold", "--r", "3", "--nmax", "100"], "time_budget", 60.0),
         (["richness", "--coloring", "col.json"], "coloring", "col.json"),
+        (["richness", "--coloring", "col.json", "--r", "0"], "r", 4),
         (["sieve", "--X", "10000", "--export-decomposition"],
          "export_decomposition", True),
         (["sieve", "--X", "10000"], "R", 10.0),
@@ -415,9 +426,9 @@ class TestHeader:
         (["dioph", "--mode", "vino"], "mode", "vino"),
         (["dioph", "--mode", "weyl", "--X", "1000", "--grid", "4096"],
          "mode", "weyl"),
-    ], ids=["threshold-budget", "richness-coloring", "sieve-export",
-            "sieve-R", "sieve-cexp", "sieve-A", "dioph-verify", "dioph-vino",
-            "dioph-weyl"])
+    ], ids=["threshold-budget", "richness-coloring", "richness-file-r",
+            "sieve-export", "sieve-R", "sieve-cexp", "sieve-A",
+            "dioph-verify", "dioph-vino", "dioph-weyl"])
     def test_header_logs_resolved_value(self, argv, key, value):
         run(argv + ["--output", "o"])
         assert header("o")[key] == value

@@ -28,6 +28,20 @@ def pairwise_gamma(M):
     return total / (wsum * wsum) - 1
 
 
+def brute_keys(js, M, scale):
+    """min over q <= M of max(q, ||q j/M|| * scale) for every j of js, as
+    the float key _min_keys computes.  q = 1 has key at most
+    max(1, scale / 2), so no q above that can do better and the loop
+    stops there."""
+    js = np.asarray(js, dtype=np.int64)
+    keys = np.full(js.size, np.inf)
+    for q in range(1, min(M, int(scale // 2) + 1) + 1):
+        r = q * js % M
+        keys = np.minimum(keys, np.maximum(q, np.minimum(r, M - r) / M
+                                           * scale))
+    return keys
+
+
 def coprimality_multisets(count=300, seed=20261018):
     """Seeded multisets with repeats, 1s, prime powers, shared factors,
     singletons and elements >= 2^63 that have only small prime factors
@@ -98,6 +112,28 @@ class TestDiophVerify:
                            grid_points=2 ** 20)
         assert not rep.all_pass
         assert rep.failures
+
+    @pytest.mark.parametrize("S, D, M, Ls", [
+        (np.arange(1, 1001), 1000.0, 2 ** 16, [1, 1.5, 2, 3, 6]),
+        (np.arange(1, 101), 1e300, 2 ** 14, [1, 40]),
+    ], ids=["interval", "q-cap"])
+    def test_empirical_L_is_exhaustive_minimum(self, S, D, M, Ls):
+        # max(1, max over levels of log K / log(L'/delta)), K the least key
+        # over q <= M, over every j > 0 a level obliges, whether or not
+        # the level is vacuous at the configured L: so L cannot move it
+        # (on the interval every level is vacuous at L = 3 and 6)
+        Lp = 8.0
+        reps = [dioph_verify(S, DiophParams(L, Lp, D), LEVELS, M,
+                             want_empirical_L=True) for L in Ls]
+        margin = math.pi * int(S[-1] - S[0]) / M
+        checks = {d: max(d - margin, d / 2) for d in LEVELS}
+        js, vals = dense_peaks(np.mod(S, M), np.ones(S.size), M, 0, M,
+                               min(checks.values()), S.size)
+        js, vals = js[1:], vals[1:]  # j = 0 is no obligation
+        keys = brute_keys(js, M, D)
+        ref = max([1.0] + [math.log(keys[vals >= c].max()) / math.log(Lp / d)
+                           for d, c in checks.items()])
+        assert [rep.empirical_L for rep in reps] == [ref] * len(Ls)
 
     def test_capacity_error_with_suggestion(self):
         with pytest.raises(CapacityError) as exc:
@@ -210,10 +246,8 @@ class TestMinKeys:
         # the early-exit walk against the minimum over every q <= M of the
         # same float key, bit for bit
         js = np.arange(M)
-        r = np.arange(1, M + 1)[:, None] * js % M
-        keys = np.maximum(np.arange(1, M + 1)[:, None],
-                          np.minimum(r, M - r) / M * scale)
-        assert np.array_equal(dioph._min_keys(js, M, scale), keys.min(axis=0))
+        assert np.array_equal(dioph._min_keys(js, M, scale),
+                              brute_keys(js, M, scale))
 
 
 LEVELS = [0.05, 0.1, 0.2, 0.4]
@@ -576,14 +610,28 @@ class TestVonMangoldt:
             assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
 
     def test_weyl_m3_spectrum_matches_direct(self, tables_1e5):
-        # n^3 mod M by square-and-multiply, on a grid that is not a
-        # power of two
+        # n^3 mod M by reduced products, on a grid that is not a power
+        # of two
         X, M = 300, 5003
         rep = weyl_structure_scan(tables_1e5, X, 3, 0.3, grid_points=M)
         assert len(rep.rows) > 1
         for r in rep.rows[:10]:
             direct = vonmangoldt_exp_sum(tables_1e5, X, 3, r.theta)
             assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
+
+    def test_weyl_residues_past_int64(self, tables_1e5):
+        # 300^8 > 2^63, so n^m must be reduced as it is built; the rows
+        # equal the spectrum of the exact pow(n, m, M) added in order
+        # (vonmangoldt_exp_sum's float n^m has lost its digits here)
+        X, m, M = 300, 8, 5003
+        assert X ** m > 2 ** 63
+        rep = weyl_structure_scan(tables_1e5, X, m, 0.2, grid_points=M)
+        residues = np.array([pow(n, m, M) for n in range(1, X + 1)])
+        want = add_at_spectrum(residues, tables_1e5.vonmangoldt[1: X + 1], M)
+        js = np.flatnonzero(want >= 0.2 * X)
+        assert js.size > 1
+        assert np.array_equal(np.rint(rep.rows.columns["theta"] * M), js)
+        assert np.array_equal(rep.rows.columns["abs_sum"], want[js])
 
     @pytest.mark.parametrize("X,m,eps,M,E", [
         (10 ** 4, 1, 0.2, 2 ** 18, 1.4307),
@@ -597,14 +645,8 @@ class TestVonMangoldt:
         reps = [weyl_structure_scan(tables_1e5, X, m, eps, exponent=ex,
                                     grid_points=M) for ex in (1.4, 3.0, 6.0)]
         assert len({rep.empirical_E for rep in reps}) == 1
-        # q = 1 has key at most X^m / 2, so no larger q can do better
-        scale = float(X) ** m
-        qs = np.arange(1, X ** m // 2 + 2, dtype=np.int64)
-        worst = 0.0
-        for row in reps[0].rows:
-            r = qs * round(row.theta * M) % M
-            keys = np.maximum(qs, np.minimum(r, M - r) / M * scale)
-            worst = max(worst, float(keys.min()))
+        js = np.rint(reps[0].rows.columns["theta"] * M)
+        worst = float(brute_keys(js, M, float(X) ** m).max())
         ref = math.log(worst) / math.log(1.0 / eps)
         assert reps[0].empirical_E == ref
         assert round(ref, 4) == E
@@ -807,6 +849,14 @@ class TestSpectrumGrid:
             for j in (0, 1, 17, 333, 512, M // 2 - 1, M // 2):
                 direct = abs(exp_sum(S, j / M))
                 assert abs(vals[j] - direct) < 1e-9, (M, j)
+
+    def test_vals_are_owned(self):
+        # neither path hands back a view of the spectrum it read from
+        S = np.arange(1, 121)
+        for M in (64, 2 ** 12):  # P = 128: one full DFT, then 32 blocks
+            js, vals = dioph._grid_peaks(np.mod(S, M), np.ones(S.size), M,
+                                         1, S.size, 0.1, S.size)
+            assert js.size and vals.base is None, M
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_residue_spectrum_equals_add_at(self, weighted):
