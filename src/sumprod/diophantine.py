@@ -36,7 +36,8 @@ import numpy as np
 from .averages import SampledFunction, _avg_of_values, cfsum, e_of
 from .errors import CapacityError, DomainError, RangeError
 from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
-                        convergent_denominators, factorize, grid_convergents)
+                        convergent_denominators, divisors_phi,
+                        grid_convergents)
 from .projections import NormParams, u1log_norm
 
 # bounds the memory of a full-grid DFT (a window as wide as the grid);
@@ -525,11 +526,7 @@ def gamma_coprimality(M, exact: bool = False):
         raise DomainError("need a nonempty set of positive integers")
     terms = {}  # (d, phi(d)) -> [1/a for every a in M that d divides]
     for a in elems:
-        divs = [(1, 1)]
-        for p, e in factorize(a):
-            divs = [(d * p ** k, f * (p - 1) * p ** (k - 1) if k else f)
-                    for d, f in divs for k in range(e + 1)]
-        for key in divs:
+        for key in divisors_phi(a):
             terms.setdefault(key, []).append(Fraction(1, a))
     s = {key: _tree_sum(t) for key, t in terms.items()}
     total = _tree_sum([f * s_d ** 2 for (_, f), s_d in s.items()])

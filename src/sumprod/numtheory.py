@@ -1,7 +1,8 @@
 """Exact integer number-theory kernel.
 
-Sieves, multiplicative-function tables, the Mobius function, Ramanujan
-sums via the Kluyver divisor identity, continued-fraction convergents,
+Sieves, the von Mangoldt table, the Mobius function and Euler's phi
+(both read off the trial-division factorization), Ramanujan sums via
+the Kluyver divisor identity, continued-fraction convergents,
 best rational approximation, and compensated harmonic / Mertens sums.
 Everything here is deterministic and uses exact integer arithmetic where
 the result is an integer; floating sums go through math.fsum, which is
@@ -85,12 +86,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def divisors_phi(n: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every positive divisor d of n, unsorted."""
+    divs = [(1, 1)]
+    for p, e in factorize(n):
+        divs = [(d * p ** k, f * (p - 1) * p ** (k - 1) if k else f)
+                for d, f in divs for k in range(e + 1)]
+    return divs
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return sorted(d for d, _ in divisors_phi(n))
+
+
+def totient(n: int) -> int:
+    """phi(n) for n >= 1: the entry of n, its largest divisor."""
+    return max(divisors_phi(n))[1]
 
 
 def mobius(n: int) -> int:
@@ -230,31 +242,20 @@ def harmonic(m: float) -> float:
 
 @dataclass
 class MultiplicativeTables:
-    """mu, phi and von Mangoldt Lambda tabulated on [0, limit]."""
+    """von Mangoldt Lambda on [0, limit]; mu and phi are not tabulated,
+    `mobius` and `totient` read them off the factorization."""
 
     limit: int
-    mobius: np.ndarray
-    phi: np.ndarray
     vonmangoldt: np.ndarray
 
     @classmethod
     def build(cls, limit: int) -> "MultiplicativeTables":
         table = sieve_primes(limit)  # checks limit >= 2 and the budget
-        primes = table.primes_array()
-
-        mob = np.ones(limit + 1, dtype=np.int64)
-        phi = np.arange(limit + 1, dtype=np.int64)
         lam = np.zeros(limit + 1, dtype=np.float64)
-        for p in primes.tolist():
-            mob[p::p] *= -1
-            sq = p * p
-            if sq <= limit:
-                mob[sq::sq] = 0
-            phi[p::p] -= phi[p::p] // p
+        for p in table.primes_array().tolist():
             logp = math.log(p)
             pk = p
             while pk <= limit:
                 lam[pk] = logp
                 pk *= p
-        mob[0] = 0
-        return cls(limit=limit, mobius=mob, phi=phi, vonmangoldt=lam)
+        return cls(limit=limit, vonmangoldt=lam)

@@ -136,8 +136,8 @@ def pythagoras_defect(f: SampledFunction, q: int, qp: int, H: int, Hp: int,
         raise DomainError("need q | q'")
     if Hp > H:
         raise DomainError("need H' <= H")
-    p_small = project(f, q, H).slice(1, N)
-    p_large = project(f, qp, Hp).slice(1, N)
+    p_small = project(f, q, H).slice(1, N, "pythagoras")
+    p_large = project(f, qp, Hp).slice(1, N, "pythagoras")
     lhs = _avg_of_values(np.abs(p_large - p_small) ** 2, N, "log").real
     err = PYTHAGORAS_C * (math.log(qp * H) / math.log(N)
                           + (qp * Hp) / (q * H))
@@ -156,15 +156,14 @@ def maximal_lower(f: SampledFunction, g: SampledFunction, q: int, H: int,
     base = E^log f*g and projected = E^log (Pi_{q,H} f)*g; callers check
     projected >= base^2/8 - eps_N and the eta-grid averaged form.
     """
-    for name, fn in (("f", f), ("g", g)):
-        vals = fn.slice(1, N) if fn.covers(1, N) else fn.values
+    fv, gv = (fn.slice(1, N, "maximal_lower") for fn in (f, g))
+    for name, vals in (("f", fv), ("g", gv)):
         if float(np.min(vals.real)) < -1e-9 or \
                 float(np.max(np.abs(vals.imag))) > 1e-9:
             raise DomainError(f"{name} must be nonnegative real")
-    fg = f.slice(1, N).real * g.slice(1, N).real
-    base = _avg_of_values(fg, N, "log").real
+    base = _avg_of_values(fv.real * gv.real, N, "log").real
     pf = project(f, q, H)
-    pg = pf.slice(1, N, "maximal_lower").real * g.slice(1, N).real
+    pg = pf.slice(1, N, "maximal_lower").real * gv.real
     return base, _avg_of_values(pg, N, "log").real
 
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .numtheory import (MultiplicativeTables, divisors, factorize, mobius,
-                        ramanujan_sum, sieve_primes)
+from .numtheory import (divisors, factorize, mobius, ramanujan_sum,
+                        sieve_primes, totient)
 
 FACTORIAL_TABLE_BUDGET = 5_000_000
 DEFAULT_CEXP = 0.125
@@ -40,7 +40,8 @@ def _selberg_series(R: float, variant: str) -> tuple[float, list]:
     """(normalizer, [(q, mu(q)/phi(q)) for squarefree q <= R]).
 
     The normalizer is sum_{q<=R} mu(q)^2/phi(q), or mu(q)/phi(q) for
-    variant "mu"; R and variant are checked first.
+    variant "mu"; R and variant are checked first.  mu(q) and phi(q) are
+    read off the factorization of each q, and every value is a float.
     """
     if R < 3:
         raise DomainError("degenerate sieve level: need R >= 3")
@@ -48,14 +49,13 @@ def _selberg_series(R: float, variant: str) -> tuple[float, list]:
         raise CapacityError("R^2 exceeds the desk budget 1e5")
     if variant not in ("mu_squared", "mu"):
         raise DomainError(f"unknown variant {variant!r}")
-    tables = MultiplicativeTables.build(int(math.floor(R)))
-    mob, phi = tables.mobius, tables.phi
-    sq = np.flatnonzero(mob).tolist()  # mob[0] is 0
-    normalizer = math.fsum((mob[q] if variant == "mu" else 1.0) / phi[q]
-                           for q in sq)
+    mu_phi = [(q, mu, totient(q)) for q in range(1, int(math.floor(R)) + 1)
+              if (mu := mobius(q))]
+    normalizer = math.fsum((mu if variant == "mu" else 1.0) / phi
+                           for _, mu, phi in mu_phi)
     if abs(normalizer) < 1e-12:  # only the alternating sum can vanish
         raise DomainError("mu-variant normalizer vanishes at this R")
-    return normalizer, [(q, mob[q] / phi[q]) for q in sq]
+    return normalizer, [(q, mu / phi) for q, mu, phi in mu_phi]
 
 
 def selberg_majorant(X: int, R: float,
@@ -142,7 +142,7 @@ class BandDecomposition:
     band_index: list           # band labels i (i0 <= i <= i1)
     bands: list                # g_i arrays on [X, 2X)
     h: np.ndarray
-    f_bands: list = field(default_factory=list)  # unthresholded f_i
+    fourth_moments: list       # mean |f_i|^4 of each unthresholded band
 
     def reconstruction_error(self) -> float:
         total = self.lam_per + sum(self.bands) + self.h
@@ -239,21 +239,20 @@ def band_decompose(X: int, R: float, Q: int, cexp: float = DEFAULT_CEXP,
     lam_per = lam_per_table[np.arange(X, 2 * X) % period]
 
     band_index = list(range(i0, i1 + 1))
-    f_bands, bands, h = [], [], np.zeros(X, dtype=np.float64)
+    moments, bands, h = [], [], np.zeros(X, dtype=np.float64)
     for i in band_index:
         top = 2 ** (i + 1) if i < i1 else r2  # the last band takes the rest
         fi = _basis_sum_on_range(
             [(q, v) for q, v in coeffs.c.items() if 2 ** i < q <= top], X, X)
         keep = np.abs(fi) <= 2.0 ** (i * cexp / 2.0)
-        f_bands.append(fi)
+        moments.append(float(np.mean(np.abs(fi) ** 4)))
         bands.append(np.where(keep, fi, 0.0))
         h += np.where(keep, 0.0, fi)  # the above-threshold part g'_i
     return BandDecomposition(
         X=X, R=R, Q=Q, cexp=cexp, A=A, i0=i0, i1=i1, coeffs=coeffs,
         majorant=majorant, head_moduli=sorted(q for q, _ in head),
         period=period, lam_per_table=lam_per_table, lam_per=lam_per,
-        band_index=band_index, bands=bands, h=h,
-        f_bands=f_bands)
+        band_index=band_index, bands=bands, h=h, fourth_moments=moments)
 
 
 @dataclass
@@ -425,7 +424,6 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
         terms.append((sup_bounds[-1][1] ** c) * (sup_g ** (1.0 - c)))
     M, K, _ = _sup_grid(X)
     band_stat = math.fsum(terms) * Q ** (c / 4.0) / float(X) ** c
-    moments = [float(np.mean(np.abs(fi) ** 4)) for fi in dec.f_bands]
     rec_err = dec.reconstruction_error()
     checks = {
         "nonnegative": bool(lam.min() >= 0.0),
@@ -433,7 +431,7 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
         "prime_floor_0.8_logR": floor_logR >= 0.8,
         "moment_envelope": all(
             m <= max(1.0, float(i) ** 16)
-            for i, m in zip(dec.band_index, moments)),
+            for i, m in zip(dec.band_index, dec.fourth_moments)),
     }
     return SieveReport(
         X=X, R=R, Q=Q,
@@ -450,6 +448,6 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
         sup_grid_points=M,
         sup_taylor_order=K,
         sup_tolerance=SUP_TOLERANCE,
-        band_fourth_moments=moments,
+        band_fourth_moments=dec.fourth_moments,
         reconstruction_error=rec_err,
         checks=checks)

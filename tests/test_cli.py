@@ -518,10 +518,13 @@ class TestDefaultArtifactsPinned:
     written once: dioph.json and weyl.json lost `failures`, weyl.json
     `all_pass`, every row its `vacuous`, and dioph.json the rows of its
     vacuous levels; the old JSON less those keys and rows equals the
-    new, and dioph_summary.csv is unchanged.  Each subcommand runs in a
-    fresh working directory with relative paths; a digest covers every
-    file under the output directory in sorted order, as relative path, a
-    NUL byte, then the file's bytes."""
+    new, and dioph_summary.csv is unchanged.  sieve (was 9c6fa856...d60a)
+    was recorded again when the Selberg weights became builtin floats:
+    decomposition.json's "c" strings lost their np.float64(...) wrapper,
+    with the same values.  Each subcommand runs in a fresh working
+    directory with relative paths; a digest covers every file under the
+    output directory in sorted order, as relative path, a NUL byte, then
+    the file's bytes."""
 
     SEED = "1729"
     CASES = [
@@ -544,17 +547,17 @@ class TestDefaultArtifactsPinned:
         ("dioph-vino", ["dioph", "--mode", "vino"],
          "fb5a3f9084202fa57bac89e544005be9ee54da587e41a1d6a272417ba19f6b26"),
         ("sieve", ["sieve", "--export-decomposition"],
-         "9c6fa8567947eb9e935a52c595e8b9a0082f13e9d189dcd06e6a4ab6a543d60a"),
+         "833fac2fb12a767f810ae599f7393bd2a833be942862d74dc6a72b4244dba306"),
         ("richness", ["richness"],
          "ab1787fefd7217121dbfd1446a388902e5e4e0848e8e5a5703527670168376fa"),
     ]
 
     # single files whose bytes are pinned apart from their directory's
-    # digest; decomposition.json was recorded before the band Fourier sups
-    # became enclosures, which changed only sieve_report.json
+    # digest; decomposition.json (was d96218b4...7fc4) was recorded again
+    # when its "c" strings lost their np.float64(...) wrapper
     FILE_PINS = {
         "sieve/decomposition.json":
-        "d96218b4689ebb1e5607f71dc5d777985908db6ad86cc5f41a7b61ac61cc7fc4",
+        "f7118a143e2b83aa05a543c4c8eb0cc07f6d988cff9de17d0b80e2e951486e3c",
     }
 
     @staticmethod
@@ -566,19 +569,36 @@ class TestDefaultArtifactsPinned:
             h.update(path.read_bytes())
         return h.hexdigest()
 
-    def test_digests(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rle = Path("inputs") / "extremal.json"
-        rle.parent.mkdir()
-        rle.write_text(extremal_coloring(12).to_rle_json())
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The directory every case wrote its output directory into."""
+        root = tmp_path_factory.mktemp("defaults")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            rle = Path("inputs") / "extremal.json"
+            rle.parent.mkdir()
+            rle.write_text(extremal_coloring(12).to_rle_json())
+            for name, argv, _ in self.CASES:
+                assert run(argv + ["--output", name]) == 0, name
+        return root
+
+    def test_digests(self, written):
         got, want = {}, {}
-        for name, argv, digest in self.CASES:
-            assert run(argv + ["--output", name]) == 0, name
-            got[name], want[name] = self.tree_digest(name), digest
+        for name, _, digest in self.CASES:
+            got[name], want[name] = self.tree_digest(written / name), digest
         for path, digest in self.FILE_PINS.items():
-            got[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            got[path] = hashlib.sha256(
+                (written / path).read_bytes()).hexdigest()
             want[path] = digest
         assert got == want
+
+    def test_no_numpy_scalar_reprs(self, written):
+        # a numpy scalar's repr ("np.float64(0.5)" under numpy 2) is a
+        # string that float() cannot read, and numpy 1 writes it otherwise
+        for path in sorted(p for p in written.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            assert b"np.float64(" not in data and b"np.int64(" not in data, \
+                path.relative_to(written).as_posix()
 
 
 class TestOutOfMemory:

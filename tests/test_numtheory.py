@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from sumprod.errors import DomainError, RangeError
-from sumprod.numtheory import (MultiplicativeTables, best_rational_approx,
-                               convergent_denominators, grid_convergents,
-                               harmonic, mertens_sum, mobius,
-                               ramanujan_sum, sieve_primes)
+from sumprod.numtheory import (best_rational_approx, convergent_denominators,
+                               divisors_phi, grid_convergents,
+                               harmonic, mertens_sum, mobius, ramanujan_sum,
+                               sieve_primes, totient)
+from sumprod.sieve import _selberg_series
+from test_sieve import mu_phi
 
 
 def trial_primes(lo, hi):
@@ -304,24 +306,40 @@ class TestHarmonic:
 
 
 class TestMultiplicativeTables:
-    def test_mobius_phi_multiplicative(self, tables_1e5):
-        mob, phi = tables_1e5.mobius, tables_1e5.phi
+    """mu and phi from the factorization, against the trial-division
+    oracle `mu_phi`; Lambda from the table."""
+
+    def test_mobius_phi_multiplicative(self):
         pairs = [(a, b) for a in range(1, 61) for b in range(1, 61)
                  if math.gcd(a, b) == 1 and a * b <= 1000]
         for a, b in pairs:
-            assert mob[a * b] == mob[a] * mob[b]
-            assert phi[a * b] == phi[a] * phi[b]
+            assert mobius(a * b) == mobius(a) * mobius(b)
+            assert totient(a * b) == totient(a) * totient(b)
 
-    def test_scalar_mobius_matches_table(self, tables_1e5):
+    def test_mobius_matches_oracle(self):
         for n in range(1, 3001):
-            assert mobius(n) == tables_1e5.mobius[n]
+            assert mobius(n) == mu_phi(n)[0]
         with pytest.raises(DomainError):
             mobius(0)
 
-    def test_phi_divisor_identity(self, tables_1e5):
-        phi = tables_1e5.phi
+    def test_phi_divisor_identity(self):
         for n in range(1, 2001):
-            assert sum(int(phi[d]) for d in range(1, n + 1) if n % d == 0) == n
+            pairs = divisors_phi(n)
+            assert sorted(d for d, _ in pairs) == [
+                d for d in range(1, n + 1) if n % d == 0]
+            assert sum(f for _, f in pairs) == n
+
+    @pytest.mark.parametrize("variant", ["mu_squared", "mu"])
+    def test_selberg_series_matches_oracle(self, variant):
+        # 316 is the largest integer level whose R^2 fits the 1e5 budget
+        normalizer, series = _selberg_series(316.0, variant)
+        want = [(q, *mu_phi(q)) for q in range(1, 317) if mu_phi(q)[0]]
+        assert [q for q, _ in series] == [q for q, _, _ in want]
+        for (_, w), (_, mu, phi) in zip(series, want):
+            assert type(w) is float and w == mu / phi
+        assert type(normalizer) is float
+        assert normalizer == math.fsum(
+            (mu if variant == "mu" else 1.0) / phi for _, mu, phi in want)
 
     def test_vonmangoldt_support(self, tables_1e5):
         lam = tables_1e5.vonmangoldt

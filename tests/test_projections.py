@@ -188,7 +188,14 @@ class TestOneCheckedRead:
         (lambda: maximal_lower(SampledFunction.constant(0.5, 1, 100),
                                SampledFunction.constant(0.5, 1, 100),
                                2, 5, 100),
-         "maximal_lower needs f on [1, 100] but window is [9, 92]")])
+         "maximal_lower needs f on [1, 100] but window is [9, 92]"),
+        (lambda: maximal_lower(SampledFunction.constant(0.5, 5, 100),
+                               SampledFunction.constant(0.5, 1, 100),
+                               2, 5, 100),
+         "maximal_lower needs f on [1, 100] but window is [5, 100]"),
+        (lambda: pythagoras_defect(SampledFunction.constant(0.5, 1, 100),
+                                   2, 4, 5, 5, 100),
+         "pythagoras needs f on [1, 100] but window is [9, 92]")])
     def test_range_error_text(self, read, message):
         with pytest.raises(RangeError) as err:
             read()

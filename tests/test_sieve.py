@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sumprod.errors import CapacityError, DomainError
-from sumprod.numtheory import ramanujan_sum, sieve_primes
+from sumprod.numtheory import (MultiplicativeTables, ramanujan_sum,
+                               sieve_primes)
 from sumprod.sieve import (SUP_TOLERANCE, _float_reprs, _sup_fourier,
                            _sup_grid, band_decompose, ramanujan_expand,
                            selberg_majorant, verify_sieve_bounds)
@@ -156,6 +157,14 @@ class TestBandDecomposition:
         assert not np.any(dec.h)
         assert np.allclose(dec.lam_per, dec.majorant)
 
+    def test_builds_no_table(self, monkeypatch):
+        # mu and phi are read off the factorization, so no table is built
+        calls, build = [], MultiplicativeTables.build.__func__
+        monkeypatch.setattr(MultiplicativeTables, "build", classmethod(
+            lambda cls, limit: calls.append(limit) or build(cls, limit)))
+        band_decompose(10 ** 5, (10 ** 5) ** 0.25, 6)
+        assert calls == []
+
     def test_q2_head(self):
         dec = band_decompose(10 ** 4, 9.0, 2)
         assert dec.head_moduli == [1, 2]
@@ -300,7 +309,9 @@ class TestSupEnclosure:
 
 class TestBytesPinned:
     """sha256 of the majorant and decomposition bytes, recorded from the
-    code before the majorant went through _basis_sum_on_range."""
+    code before the majorant went through _basis_sum_on_range.  The
+    export was recorded again (was eab40d9b...463b) when its "c" strings
+    lost their np.float64(...) wrapper, with the same values."""
 
     @pytest.mark.parametrize("R, variant, digest", [
         ((10 ** 5) ** 0.25, "mu_squared",
@@ -315,4 +326,4 @@ class TestBytesPinned:
     def test_band_export(self):
         dec = band_decompose(20000, 20000 ** 0.25, 6)
         assert hashlib.sha256(dec.export_json().encode()).hexdigest() == (
-            "eab40d9b351dfb5d5a71db0a479cad29f02d61f7a25e0bcfce87ecde71d1463b")
+            "55d89e8bd7ee1dc9f5222b8f6f0c874c9853d522f485087379827b9ff2a1ab07")
