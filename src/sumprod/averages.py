@@ -182,48 +182,43 @@ class SampledFunction:
         return cls(lo, hi, vals, bound=1.0)
 
     @classmethod
-    def random_disc(cls, rng: np.random.Generator, lo: int, hi: int,
-                    read: np.ndarray | None = None):
+    def random_disc(cls, rng: np.random.Generator, lo: int, hi: int):
         """Independent values uniform on the closed complex unit disc.
 
-        The values are sqrt(u) * e(v) for the size radius uniforms u and
-        then the size angle uniforms v, built in one complex array: the
-        u are drawn into its upper half, and each _CHUNK block [s, e) is
-        written to float slots [2s, 2e), which stay below the unread u
-        (2e <= size + e).  Chunked draws of v continue the same stream,
-        so every value and the generator's state match the unblocked
-        sqrt(rng.random(size)) * e_of(rng.random(size)).
-
-        read, a boolean mask over the window, names the values a caller
-        will read: sqrt and e() are taken only there, and every other
-        value is exactly 0, not a draw.  Every u and v is still drawn, so
-        the read values and the generator's state are those of read=None.
+        Rejection from the square: the values are x + iy for the first
+        size pairs (x, y) = (2u - 1, 2u' - 1) of the generator's doubles
+        with x*x + y*y <= 1, taken in stream order, and the generator is
+        left just past the last accepted pair.  Each round draws as many
+        pairs as values are still missing (at most _CHUNK) into the one
+        complex array's unfilled slots, maps them in place and moves the
+        accepted pairs to the front.  No round draws a pair it does not
+        need, so the values do not depend on _CHUNK, and a shorter
+        window is a prefix of a longer one.
         """
         size = _window_size(lo, hi)
-        if read is not None and np.shape(read) != (size,):
-            raise DomainError("read mask length does not match [lo, hi]")
         vals = np.empty(size, dtype=np.complex128)
-        radii = vals.view(np.float64)[size:]
-        rng.random(out=radii)
-        for s in range(0, size, _CHUNK):
-            e = min(s + _CHUNK, size)
-            blk = vals[s:e]
-            at = slice(None) if read is None else np.flatnonzero(read[s:e])
-            rb = np.sqrt(radii[s:e][at])  # a copy: blk overwrites radii
-            z = e_of(rng.random(e - s)[at], out=blk if read is None else None)
-            z *= rb
-            if read is not None:
-                blk[:] = 0
-                blk[at] = z
+        filled = 0
+        while filled < size:
+            z = vals[filled:filled + min(_CHUNK, size - filled)]
+            pairs = z.view(np.float64)
+            rng.random(out=pairs)
+            pairs *= 2.0
+            pairs -= 1.0
+            r2 = z.real * z.real
+            r2 += z.imag * z.imag
+            at = np.flatnonzero(r2 <= 1.0)
+            del r2   # freed before the gather, which would add to the peak
+            vals[filled:filled + len(at)] = z[at]   # z[at] is a copy
+            filled += len(at)
         return cls(lo, hi, vals, bound=1.0)
 
     @classmethod
     def random_nonneg(cls, rng: np.random.Generator, lo: int, hi: int):
         """Independent values uniform on [0, 1] (real, nonnegative).
 
-        As in random_disc, the uniforms are drawn into the upper float
-        half of the one complex array and copied block by block into the
-        real slots, so the values and the generator's state match
+        The uniforms are drawn into the upper float half of the one
+        complex array and copied block by block into the real slots, so
+        the values and the generator's state match
         rng.random(size).astype(np.complex128).
         """
         size = _window_size(lo, hi)
@@ -239,11 +234,13 @@ class SampledFunction:
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
 
-    def slice(self, lo: int, hi: int, what: str = "operation") -> np.ndarray:
-        """Values on [lo, hi]; outside the window, a RangeError naming what."""
+    def slice(self, lo: int, hi: int, what: str = "operation",
+              name: str = "f") -> np.ndarray:
+        """Values on [lo, hi]; outside the window, a RangeError naming
+        what, the operation, and name, the function it reads."""
         if not self.covers(lo, hi):
             raise RangeError(
-                f"{what} needs f on [{lo}, {hi}] but window is "
+                f"{what} needs {name} on [{lo}, {hi}] but window is "
                 f"[{self.lo}, {self.hi}]")
         return self.values[lo - self.lo: hi - self.lo + 1]
 
@@ -424,31 +421,14 @@ def dilate_defect(f: SampledFunction, N: int, q: int) -> DefectRecord:
     return DefectRecord("dilate", lhs, bound, params={"q": q, "N": N})
 
 
-def _elliott_primes(N: int, primes) -> tuple[list[int], float]:
-    """A nonempty set of primes <= N, sorted, and its sum of 1/p."""
+def elliott_defect(f: SampledFunction, N: int, primes) -> DefectRecord:
+    """Logarithmic Elliott defect over a prime set with largest P <= N."""
     primes = sorted(int(p) for p in primes)
     if not primes:
         raise DomainError("prime set must be nonempty")
     if primes[-1] > N:
         raise DomainError("need all primes <= N")
-    return primes, mertens_sum(primes)
-
-
-def elliott_reads(N: int, primes) -> np.ndarray:
-    """The values elliott_defect(f, N, primes) reads, as a boolean mask
-    over the window [1, P * N], P the largest prime: n in [1, N] and p * n
-    for each prime p and n in [1, N]."""
-    primes, _ = _elliott_primes(N, primes)
-    read = np.zeros(primes[-1] * N, dtype=bool)
-    read[:N] = True
-    for p in primes:
-        read[p - 1:p * N:p] = True
-    return read
-
-
-def elliott_defect(f: SampledFunction, N: int, primes) -> DefectRecord:
-    """Logarithmic Elliott defect over a prime set with largest P <= N."""
-    primes, sum_invp = _elliott_primes(N, primes)
+    sum_invp = mertens_sum(primes)
     P = primes[-1]
     oob0 = f.oob_events
     per_prime = [_avg_of_values(f.progression(p, p, N), N, "log")

@@ -156,7 +156,8 @@ def maximal_lower(f: SampledFunction, g: SampledFunction, q: int, H: int,
     base = E^log f*g and projected = E^log (Pi_{q,H} f)*g; callers check
     projected >= base^2/8 - eps_N and the eta-grid averaged form.
     """
-    fv, gv = (fn.slice(1, N, "maximal_lower") for fn in (f, g))
+    fv = f.slice(1, N, "maximal_lower")
+    gv = g.slice(1, N, "maximal_lower", "g")
     for name, vals in (("f", fv), ("g", gv)):
         if float(np.min(vals.real)) < -1e-9 or \
                 float(np.max(np.abs(vals.imag))) > 1e-9:

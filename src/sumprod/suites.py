@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .averages import (SampledFunction, DefectRecord, dilate_defect,
-                       elliott_defect, elliott_reads, frobenius_defect,
+                       elliott_defect, frobenius_defect,
                        residue_split_defect, shift_defect)
 from .errors import DomainError
 from .projections import (almost_period_defect, maximal_eps, maximal_lower,
@@ -82,9 +82,7 @@ def _draw_dilate(rng: np.random.Generator, N: int) -> DefectRecord:
 
 
 def _draw_elliott(rng: np.random.Generator, N: int) -> DefectRecord:
-    # the window is [1, 11N], and only the values elliott reads are built
-    read = elliott_reads(N, ELLIOTT_PRIMES)
-    f = SampledFunction.random_disc(rng, 1, len(read), read=read)
+    f = SampledFunction.random_disc(rng, 1, max(ELLIOTT_PRIMES) * N)
     return elliott_defect(f, N, ELLIOTT_PRIMES)
 
 

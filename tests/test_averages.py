@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from sumprod import averages
 from sumprod.averages import (SampledFunction, cfsum, difference,
-                              dilate_defect, elliott_defect, elliott_reads,
+                              dilate_defect, elliott_defect,
                               frobenius_defect, log_avg, residue_split_defect,
                               shift_defect, uniform_avg)
 from sumprod.errors import DomainError, RangeError
@@ -18,6 +18,29 @@ from sumprod.numtheory import harmonic
 
 def disc(seed, lo, hi):
     return SampledFunction.random_disc(np.random.default_rng(seed), lo, hi)
+
+
+def sqrt_e_disc(seed, lo, hi):
+    """Values uniform on the closed unit disc as sqrt(u) * e(v), for the
+    size radius uniforms u and then the size angle uniforms v of the
+    seeded stream.  The pins of the averaging code are taken on these
+    values, so that they do not move with random_disc's sampler."""
+    rng, n = np.random.default_rng(seed), hi - lo + 1
+    radii = np.sqrt(rng.random(n))
+    return SampledFunction(lo, hi, radii * np.exp(2j * np.pi * rng.random(n)),
+                           bound=1.0)
+
+
+def disc_reference(rng, n):
+    """random_disc's contract, one pair at a time: the first n pairs
+    (2u - 1, 2u' - 1) of the stream with x*x + y*y <= 1, as x + iy."""
+    out = []
+    while len(out) < n:
+        x = 2.0 * rng.random() - 1.0
+        y = 2.0 * rng.random() - 1.0
+        if x * x + y * y <= 1.0:
+            out.append(complex(x, y))
+    return np.array(out, dtype=np.complex128)
 
 
 class TestSampledFunction:
@@ -69,7 +92,7 @@ class TestSampledFunction:
     def test_difference_values_pinned(self, h, hp, lo, hi, digest):
         # sha256 of repr(values.tolist()), recorded from the code before
         # difference read its shifts through SampledFunction.slice
-        g = difference(disc(7, -5, 40), h, hp)
+        g = difference(sqrt_e_disc(7, -5, 40), h, hp)
         assert (g.lo, g.hi) == (lo, hi)
         text = repr(g.values.tolist())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -93,12 +116,42 @@ class TestWindowConstruction:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_random_disc_bits_match_unblocked_draw(self, n):
+        # the unblocked draw is the one-pair-at-a-time rejection loop
         rng, ref = np.random.default_rng(17), np.random.default_rng(17)
         f = SampledFunction.random_disc(rng, -7, n - 8)
-        want = np.sqrt(ref.random(n)) * np.exp(2j * np.pi * ref.random(n))
+        want = disc_reference(ref, n)
         assert np.array_equal(f.values.view(np.uint64),
                               want.view(np.uint64))
         assert rng.random() == ref.random()
+
+    def test_random_disc_shorter_window_is_a_prefix(self):
+        n = 3 * self.BLOCK + 5
+        whole = disc(29, 1, n).values
+        for m in (1, self.BLOCK - 1, self.BLOCK + 1, 2 * self.BLOCK):
+            assert np.array_equal(disc(29, 1, m).values.view(np.uint64),
+                                  whole[:m].view(np.uint64))
+
+    def test_random_disc_does_not_depend_on_the_chunk(self, monkeypatch):
+        n = 2 * self.BLOCK + 3
+        rng = np.random.default_rng(31)
+        want = SampledFunction.random_disc(rng, 0, n - 1).values
+        monkeypatch.setattr(averages, "_CHUNK", 7)
+        small = np.random.default_rng(31)
+        got = SampledFunction.random_disc(small, 0, n - 1).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert small.bit_generator.state == rng.bit_generator.state
+
+    def test_random_disc_is_uniform_on_the_disc(self):
+        z = disc(1729, 1, 10 ** 6).values
+        r2 = z.real ** 2 + z.imag ** 2
+        assert float(np.max(np.abs(z))) <= 1.0
+        # E|z|^2 = 1/2, with standard error sqrt(1/12 / 10^6) = 2.9e-4
+        assert abs(float(np.mean(r2)) - 0.5) <= 0.002
+        # 36 equal angle sectors: chi-square with 35 degrees of freedom,
+        # whose 0.999 quantile is 66.6
+        counts, _ = np.histogram(np.angle(z), bins=36, range=(-np.pi, np.pi))
+        expected = len(z) / 36
+        assert float(np.sum((counts - expected) ** 2 / expected)) < 66.6
 
     def test_e_of_bits_match_numpy(self):
         x = np.concatenate([
@@ -148,27 +201,6 @@ class TestWindowConstruction:
     def test_from_phase_builds_one_buffer(self):
         self.assert_one_buffer(
             lambda lo, hi: SampledFunction.from_phase(0.3, lo, hi))
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
-    def test_masked_draw_builds_only_read_values(self, n, density):
-        read = np.random.default_rng(n).random(n) < density
-        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
-        f = SampledFunction.random_disc(rng, 4, n + 3, read=read)
-        full = SampledFunction.random_disc(ref, 4, n + 3).values
-        got = f.values.view(np.uint64).reshape(n, 2)
-        assert np.array_equal(got[read], full.view(np.uint64).reshape(n, 2)
-                              [read])
-        assert not got[~read].any()      # +0.0 in both parts
-        assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("length", [0, 9, 11])
-    def test_mask_of_wrong_length_rejected_before_drawing(self, length):
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        with pytest.raises(DomainError, match="read mask length"):
-            SampledFunction.random_disc(rng, 1, 10,
-                                        read=np.ones(length, dtype=bool))
-        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
     @pytest.mark.parametrize("size, at", [
@@ -420,13 +452,13 @@ class TestElliottDefect:
         ([1, 2], "1 is not prime"),
         ([0, 5], "0 is not prime")])
     def test_prime_set_checked_by_defect_and_reads(self, primes, message):
-        # both go through one check, in the order nonempty, <= N, prime
-        f = SampledFunction.constant(1.0, 1, 100)
-        for check in (lambda: elliott_defect(f, 100, primes),
-                      lambda: elliott_reads(100, primes)):
-            with pytest.raises(DomainError) as err:
-                check()
-            assert str(err.value) == message
+        # checked in the order nonempty, <= N, prime, before any value
+        # of the window is read
+        f = _ReadSpy(1, 100, np.ones(100))
+        with pytest.raises(DomainError) as err:
+            elliott_defect(f, 100, primes)
+        assert str(err.value) == message
+        assert not f.touched.any()
 
     def test_sum_invp_is_the_fsum_of_reciprocals(self):
         f = SampledFunction.constant(1.0, 1, 11 * 50)
@@ -460,18 +492,27 @@ class _ReadSpy(SampledFunction):
         return super().progression(start, step, count)
 
 
+def elliott_read_set(N, primes):
+    """[1, N] and p n for each prime p and n in [1, N], as a boolean
+    mask over the window [1, P N], P the largest prime."""
+    read = np.zeros(max(primes) * N, dtype=bool)
+    read[:N] = True
+    for p in primes:
+        read[p - 1:p * N:p] = True
+    return read
+
+
 class TestElliottReads:
-    """elliott_reads is the draw's mask: it covers every value
-    elliott_defect reads, and nothing more."""
+    """elliott_defect reads [1, N] and every p n with n <= N, and
+    nothing more."""
 
     PRIMES = (2, 3, 5, 7, 11)
     NS = [11, 12, 97, 1000, 5958, 6000]   # 11N crosses _CHUNK from 5958
 
     @pytest.mark.parametrize("N", NS)
     def test_unread_values_do_not_change_the_record(self, N):
-        read = elliott_reads(N, self.PRIMES)
-        f = SampledFunction.random_disc(np.random.default_rng(N), 1,
-                                        len(read), read=read)
+        read = elliott_read_set(N, self.PRIMES)
+        f = disc(N, 1, len(read))
         vals = f.values.copy()
         vals[~read] = 0.5
         g = SampledFunction(1, len(read), vals)
@@ -482,8 +523,7 @@ class TestElliottReads:
     @pytest.mark.parametrize("N", NS)
     @pytest.mark.parametrize("primes", [PRIMES, (3, 11), (2,)])
     def test_mask_is_exactly_what_is_read(self, N, primes):
-        read = elliott_reads(N, primes)
-        assert len(read) == max(primes) * N
+        read = elliott_read_set(N, primes)
         f = _ReadSpy(1, len(read), np.zeros(len(read)))
         elliott_defect(f, N, primes)
         assert np.array_equal(f.touched, read)

@@ -521,7 +521,10 @@ class TestDefaultArtifactsPinned:
     new, and dioph_summary.csv is unchanged.  sieve (was 9c6fa856...d60a)
     was recorded again when the Selberg weights became builtin floats:
     decomposition.json's "c" strings lost their np.float64(...) wrapper,
-    with the same values.  Each subcommand runs in a fresh working
+    with the same values.  norms (was 2ffcc28c...f7e6) was recorded
+    again when random_disc became rejection from the square: the seeded
+    random function has new values from the same distribution.  Each
+    subcommand runs in a fresh working
     directory with relative paths; a digest covers every file under the
     output directory in sorted order, as relative path, a NUL byte, then
     the file's bytes."""
@@ -537,7 +540,7 @@ class TestDefaultArtifactsPinned:
         ("detect", ["detect", "--coloring", "inputs/extremal.json"],
          "8e68d919596b5ed8d02b85d653d972e7af5276a846d826ce9af3f7e02ecb3746"),
         ("norms", ["norms", "--seed", SEED],
-         "2ffcc28c58765d858684ed0075022d65278085bd099d70b64fb6db257325f7e6"),
+         "2053be31751453b11a0aa3c0d72aafd6d4952202f216ccb96508b380169c4e3b"),
         ("lemma-check", ["lemma-check", "--name", "maximal", "--seed", SEED],
          "5b43e643c405722845e40b59df26de6608a16293ce209a4b38dcce293a7d0ed6"),
         ("dioph-verify", ["dioph", "--mode", "verify"],

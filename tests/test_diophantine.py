@@ -717,8 +717,12 @@ class TestConcat:
     ])
     def test_hypothesis_pinned(self, mode, expected):
         # repr recorded from the code before the shifts were read
-        # through SampledFunction.slice; S has a negative step
-        f = SampledFunction.random_disc(np.random.default_rng(11), -30, 90)
+        # through SampledFunction.slice, on the seeded sqrt(u) e(v) disc
+        # function; S has a negative step
+        rng, n = np.random.default_rng(11), 121
+        radii = np.sqrt(rng.random(n))
+        values = radii * np.exp(2j * np.pi * rng.random(n))
+        f = SampledFunction(-30, 90, values, bound=1.0)
         assert repr(concat_hypothesis(f, 40, [-3, 1, 2], 5, mode)) == expected
 
     @pytest.mark.parametrize("mode", ["log", "uniform"])

@@ -18,6 +18,17 @@ def disc(seed, lo, hi):
     return SampledFunction.random_disc(np.random.default_rng(seed), lo, hi)
 
 
+def sqrt_e_disc(seed, lo, hi):
+    """Values uniform on the closed unit disc as sqrt(u) * e(v), for the
+    size radius uniforms u and then the size angle uniforms v of the
+    seeded stream.  The pins of the averaging code are taken on these
+    values, so that they do not move with random_disc's sampler."""
+    rng, n = np.random.default_rng(seed), hi - lo + 1
+    radii = np.sqrt(rng.random(n))
+    return SampledFunction(lo, hi, radii * np.exp(2j * np.pi * rng.random(n)),
+                           bound=1.0)
+
+
 def naive_u1(f, N, q, H, log_weights):
     num = 0.0
     den = 0.0
@@ -193,6 +204,10 @@ class TestOneCheckedRead:
                                SampledFunction.constant(0.5, 1, 100),
                                2, 5, 100),
          "maximal_lower needs f on [1, 100] but window is [5, 100]"),
+        (lambda: maximal_lower(SampledFunction.constant(0.5, 1, 100),
+                               SampledFunction.constant(0.5, 1, 50),
+                               2, 5, 100),
+         "maximal_lower needs g on [1, 100] but window is [1, 50]"),
         (lambda: pythagoras_defect(SampledFunction.constant(0.5, 1, 100),
                                    2, 4, 5, 5, 100),
          "pythagoras needs f on [1, 100] but window is [9, 92]")])
@@ -289,11 +304,11 @@ class TestContraction:
 
 class TestMeansPinned:
     """repr of every mean that goes through averages._avg_of_values,
-    recorded from the code before the fold (one seeded disc function;
-    its modulus where the input must be nonnegative)."""
+    recorded from the code before the fold (one seeded sqrt(u) e(v) disc
+    function; its modulus where the input must be nonnegative)."""
 
     N = 1000
-    f = disc(2024, -400, 2400)
+    f = sqrt_e_disc(2024, -400, 2400)
     g = SampledFunction(f.lo, f.hi, np.abs(f.values))
 
     @pytest.mark.parametrize("name, expected", [
