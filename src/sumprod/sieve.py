@@ -33,7 +33,7 @@ DEFAULT_CEXP = 0.125
 DEFAULT_A = 4.0
 SUP_TOLERANCE = 1e-3     # relative width of each band's Fourier-sup enclosure
 _REMAINDER_SHARE = 0.4   # the Taylor remainder's share of that width
-_MAX_HALVINGS = 60       # a guard: the default needs about three
+_MAX_HALVINGS = 60       # a guard: each default band needs five
 
 
 def _selberg_series(R: float, variant: str) -> tuple[float, list]:
@@ -290,13 +290,15 @@ class SieveReport:
 def _sup_grid(X: int) -> tuple[int, int, float]:
     """(M, K, kappa) of the sup enclosure on [X, 2X), X >= 2.
 
-    M is the least power of two >= 4X.  Centred at n_c = (3X-1)/2 the
-    transform has degree d = (X-1)/2, and every theta lies within
-    h = 1/(2M) of a grid point j/M, so a Taylor step spans at most
-    kappa = 2 pi d h <= pi/8 in the scaled variable tau = 2 pi d t.  K is
-    the least order with kappa^K/K! <= _REMAINDER_SHARE * SUP_TOLERANCE.
+    M is the least power of two >= X (at least 8), so the band fits the
+    DFT unfolded.  Centred at n_c = (3X-1)/2 the transform has degree
+    d = (X-1)/2, and every theta lies within h = 1/(2M) of a grid point
+    j/M, so a Taylor step spans at most kappa = 2 pi d h < pi/2 in the
+    scaled variable tau = 2 pi d t.  K is the least order with
+    kappa^K/K! <= _REMAINDER_SHARE * SUP_TOLERANCE; since
+    (pi/2)^9/9! < 2e-4, K <= 9.
     """
-    M = 1 << (4 * X - 1).bit_length()
+    M = max(8, 1 << (X - 1).bit_length())
     kappa = math.pi * ((X - 1) / 2.0) / M
     K = 2
     while kappa ** K / math.factorial(K) > _REMAINDER_SHARE * SUP_TOLERANCE:
@@ -329,9 +331,11 @@ def _sup_fourier(g: np.ndarray, X: int) -> tuple[float, float]:
     type 2 pi d (its frequencies are half-integers when X is even), so
     Bernstein's inequality bounds its K-th derivative by (2 pi d)^K sup,
     and at |tau| <= kappa the remainder is at most r(tau) sup with
-    r(tau) = |tau|^K/K! <= kappa^K/K!.  On a cell |tau - t| <= w that
-    gives sup <= (p + fp) / (1 - r(|t| + w)), p the sup of |T_j| there,
-    and sup >= |T_j(tau)| - fp - r(tau) * upper at every evaluated point.
+    r(tau) = |tau|^K/K! <= kappa^K/K!.  No bound on kappa itself is
+    needed, only r < 1, which K's choice gives with room to spare.  On a
+    cell |tau - t| <= w that gives sup <= (p + fp) / (1 - r(|t| + w)),
+    p the sup of |T_j| there, and sup >= |T_j(tau)| - fp - r(tau) * upper
+    at every evaluated point.
 
     The coarse pass bounds p on every whole cell.  Cells whose bound
     reaches the best lower bound are halved and the polynomial is
@@ -344,9 +348,12 @@ def _sup_fourier(g: np.ndarray, X: int) -> tuple[float, float]:
     a radix-2 FFT with twiddles accurate to eps, every computed value of
     A_k lies within 8 eps log2(M) sqrt(M) ||w_k||_2 of the exact one
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2).
-    fp is twice that, weighted by kappa^k and summed over k, so it also
-    covers the rounding of the weights and of the polynomial values.
-    numpy's FFT mixes radices, so this is an allowance, not a proof.
+    fp is twice that, weighted by kappa^k (the largest |tau|^k a term
+    is evaluated at) and summed over k, so it also covers the rounding of
+    the weights and of the polynomial values.  kappa may exceed 1, but
+    ||w_k||_2 <= ||g||_2/k!, so the sum stays below e^kappa < 4.9 times
+    its k = 0 term.  numpy's FFT mixes radices, so this is an allowance,
+    not a proof.
     """
     M, K, kappa = _sup_grid(X)
     x = (2.0 * np.arange(X) - (X - 1)) / (X - 1)  # (n - n_c)/d
@@ -394,10 +401,10 @@ def verify_sieve_bounds(dec: BandDecomposition) -> SieveReport:
 
     band_sum_stat is X^-c Q^(c/4) sum_i U_i^c sup|g_i|^(1-c) over the
     nonzero bands, where [L_i, U_i] is _sup_fourier's enclosure of
-    sup_theta |sum g_i(n) e(n theta)|: a DFT grid of M points (the least
-    power of two >= 4X), Taylor order K (4 at X = 10^5) and relative
-    width at most SUP_TOLERANCE.  With the upper ends the statistic is
-    a certified upper bound, not a grid estimate.
+    sup_theta |sum g_i(n) e(n theta)|: a DFT grid of M points and Taylor
+    order K from _sup_grid, and relative width at most SUP_TOLERANCE.
+    With the upper ends the statistic is a certified upper bound, not a
+    grid estimate.
     """
     X, R, Q = dec.X, dec.R, dec.Q
     lam = dec.majorant

@@ -1,15 +1,18 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from sumprod import sieve
 from sumprod.errors import CapacityError, DomainError
 from sumprod.numtheory import (MultiplicativeTables, ramanujan_sum,
                                sieve_primes)
-from sumprod.sieve import (SUP_TOLERANCE, _float_reprs, _sup_fourier,
-                           _sup_grid, band_decompose, ramanujan_expand,
-                           selberg_majorant, verify_sieve_bounds)
+from sumprod.sieve import (_REMAINDER_SHARE, SUP_TOLERANCE, _float_reprs,
+                           _sup_fourier, _sup_grid, band_decompose,
+                           ramanujan_expand, selberg_majorant,
+                           verify_sieve_bounds)
 
 
 def mu_phi(q):
@@ -244,7 +247,7 @@ class TestVerifyBounds:
     def test_default_enclosures(self, levels_1e5):
         _, rep = levels_1e5["default X^(1/4)"]
         assert (rep.sup_grid_points, rep.sup_taylor_order,
-                rep.sup_tolerance) == (2 ** 19, 4, SUP_TOLERANCE)
+                rep.sup_tolerance) == (2 ** 17, 8, SUP_TOLERANCE)
         nonzero = [b for b in rep.band_sup_bounds if b != (0.0, 0.0)]
         assert len(nonzero) == len(self.GRID_MAXIMA_1E5)
         for (lo, up), grid_max in zip(nonzero, self.GRID_MAXIMA_1E5):
@@ -266,32 +269,81 @@ def direct_abs(g, X, thetas):
     return np.abs(np.exp(2j * np.pi * np.outer(thetas, n)) @ g)
 
 
+def taylor_order(kappa):
+    """The least K >= 2 with kappa^K/K! <= _REMAINDER_SHARE * SUP_TOLERANCE."""
+    K = 2
+    while kappa ** K / math.factorial(K) > _REMAINDER_SHARE * SUP_TOLERANCE:
+        K += 1
+    return K
+
+
+def dense_peak(g, X):
+    """(|sum| at 64X points over one period, the local maximum around
+    the 4 best of them)."""
+    thetas = np.arange(64 * X) / (64 * X)
+    vals = direct_abs(g, X, thetas)
+    best = thetas[np.argsort(vals)[-4:]]
+    fine = (best[:, None] + np.linspace(-1, 1, 4001) / (64 * X)).ravel()
+    return vals, direct_abs(g, X, fine).max()
+
+
+@pytest.fixture(scope="module")
+def bands_1e4():
+    dec = band_decompose(10 ** 4, (10 ** 4) ** 0.25, 6)
+    return [g for g in dec.bands if np.any(g)]
+
+
 class TestSupEnclosure:
-    def test_contains_2_22_grid_maximum(self):
+    def test_contains_2_22_grid_maximum(self, bands_1e4):
         X = 10 ** 4
-        dec = band_decompose(X, X ** 0.25, 6)
-        bands = [g for g in dec.bands if np.any(g)]
-        assert len(bands) >= 4
-        for g in bands:
+        assert len(bands_1e4) >= 4
+        for g in bands_1e4:
             lo, up = _sup_fourier(g, X)
             assert lo <= up and up - lo <= SUP_TOLERANCE * up
             assert grid_max(g, X, 2 ** 22) <= up
 
-    @pytest.mark.parametrize("X", [2, 3, 17, 64, 255, 300])
+    # a power-of-two X puts kappa just under pi/2, its largest value
+    @pytest.mark.parametrize("X", [2, 3, 17, 64, 128, 255, 256, 300])
     def test_dense_direct_sums(self, X):
         g = np.random.default_rng(X).standard_normal(X)
         lo, up = _sup_fourier(g, X)
         assert 0.0 <= lo <= up and up - lo <= SUP_TOLERANCE * up
-        thetas = np.arange(64 * X) / (64 * X)  # one period
-        vals = direct_abs(g, X, thetas)
+        vals, peak = dense_peak(g, X)
         assert vals.max() <= up
         # around the best samples the local maximum is found to ~1e-9
         # relative, and the certified lower end may not exceed it
-        best = thetas[np.argsort(vals)[-4:]]
-        fine = (best[:, None] + np.linspace(-1, 1, 4001) / (64 * X)).ravel()
-        peak = direct_abs(g, X, fine).max()
         assert peak <= up
         assert lo <= peak * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("X", [64, 255])
+    def test_half_cells_miss_the_peak(self, X, monkeypatch):
+        """A grid that checks only half of each cell (kappa/2 reported)
+        must lose the peak somewhere, or the dense test could not see
+        that fault."""
+        grid = sieve._sup_grid
+
+        def half_kappa(X):
+            M, K, kappa = grid(X)
+            return M, K, kappa / 2
+
+        monkeypatch.setattr(sieve, "_sup_grid", half_kappa)
+        g = np.random.default_rng(X).standard_normal(X)
+        _, up = _sup_fourier(g, X)
+        assert dense_peak(g, X)[1] > up
+
+    def test_old_grid_overlaps(self, bands_1e4, monkeypatch):
+        """Each band's enclosure on the least power of two >= 4X, K by
+        the same rule, overlaps the one on _sup_grid's grid."""
+        X = 10 ** 4
+        new = [_sup_fourier(g, X) for g in bands_1e4]
+        M = 1 << (4 * X - 1).bit_length()
+        kappa = math.pi * ((X - 1) / 2.0) / M
+        K = taylor_order(kappa)
+        assert (M, K) == (2 ** 16, 4)
+        monkeypatch.setattr(sieve, "_sup_grid", lambda X: (M, K, kappa))
+        old = [_sup_fourier(g, X) for g in bands_1e4]
+        for (lo, up), (old_lo, old_up) in zip(new, old):
+            assert lo <= old_up and old_lo <= up
 
     @pytest.mark.parametrize("X", [7, 1000, 10 ** 4])
     def test_constant_encloses_X(self, X):
@@ -300,11 +352,15 @@ class TestSupEnclosure:
         assert up - lo <= SUP_TOLERANCE * up
 
     def test_grid_and_order_follow_X(self):
-        for X, M, K in [(2, 8, 4), (64, 256, 5), (10 ** 4, 2 ** 16, 4),
-                        (10 ** 5, 2 ** 19, 4)]:
-            got = _sup_grid(X)
-            assert got[:2] == (M, K)
-            assert got[2] <= np.pi / 8
+        for X, M, K in [(2, 8, 4), (64, 64, 9), (10 ** 4, 2 ** 14, 7),
+                        (10 ** 5, 2 ** 17, 8)]:
+            assert _sup_grid(X)[:2] == (M, K)
+        # rfft(w, M) would silently truncate a band longer than M
+        for X in range(2, 5001):
+            M, K, kappa = _sup_grid(X)
+            assert M & (M - 1) == 0 and (X <= M < 2 * X or M == 8)
+            assert kappa < np.pi / 2 and K <= 9
+            assert K == taylor_order(kappa)
 
 
 class TestBytesPinned:
