@@ -123,6 +123,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an int >= 0, as numpy's generators take."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0: {text!r}")
+    return int(text)
+
+
 def _read_coloring(path: str) -> Coloring:
     with open(path, "r", encoding="utf-8") as fh:
         return Coloring.from_rle_json(fh.read())
@@ -245,7 +252,8 @@ def _cmd_dioph(args) -> int:
                                   exponent=args.exponent,
                                   grid_points=args.grid)
         _emit_json(args, "weyl.json", rep.to_obj())
-        print(f"weyl: obligated={len(rep.rows)} all_pass={rep.all_pass} "
+        print(f"weyl: obligated={rep.levels[0].n_obligated} "
+              f"all_pass={rep.all_pass} certified={rep.certified} "
               f"empirical_E={rep.empirical_E:.4g}")
         return EXIT_OK if rep.all_pass else EXIT_BOUND_FAILED
     # mode == verify: interval or almost-prime set
@@ -353,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", default="random",
                    choices=["const", "phase", "random"])
     p.add_argument("--alpha", type=_finite_float, default=0.37)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = add_parser("lemma-check", _cmd_lemma_check,
                    help="seeded defect suite for one averaging or "
                         "projection inequality ("
                         + ", ".join(suite_names()) + ")")
     p.add_argument("--name", required=True, choices=suite_names())
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--draws", type=int, default=200)
 
     p = add_parser("dioph", _cmd_dioph,

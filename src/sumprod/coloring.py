@@ -181,9 +181,6 @@ class RichnessReport:
                     {"b": int(b), "bp": int(bp), "k": k, "value": repr(v)}
                     for (b, bp, k, v) in self.pair_stats]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
-
 
 _MAPPING_NOTE = (
     "desk-scale stand-in: the construction takes K = C0*r^8, t = K^2, "

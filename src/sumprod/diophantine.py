@@ -4,11 +4,11 @@ A set S of integers is (L, L', D)-diophantine when every theta whose
 exponential-sum average over S has modulus >= delta admits a denominator
 q <= (L'/delta)^L with ||q theta|| <= (L'/delta)^L / D.  dioph_verify
 turns this continuum statement into a finite scan over a rational grid
-j/M: the spectrum on such a grid is the DFT of the indicator of S mod M
-(exact, since e(js/M) only depends on s mod M).  It is taken from the
-window the residues fill, diam + 1 points, in blocks (_grid_peaks), so
-memory follows the signal, not the grid; only the points that reach the
-lowest checked level are kept.
+j/M (_scan, shared with weyl_structure_scan): the spectrum on such a
+grid is the DFT of the weights at their residues mod M (exact, since
+e(js/M) only depends on s mod M), taken from the window the residues
+fill in blocks (_grid_peaks), so memory follows the signal, not the
+grid; only the points at or above the lowest check level are kept.
 
 Levels whose conclusion threshold (L'/delta)^L / D reaches 1/2 are
 vacuous: any theta passes with q = 1 because ||q theta|| <= 1/2 always.
@@ -40,8 +40,8 @@ from .numtheory import (MultiplicativeTables, PrimeTable, _dist_to_int,
                         grid_convergents)
 from .projections import NormParams, u1log_norm
 
-# bounds the memory of a full-grid DFT (a window as wide as the grid);
-# a narrower window's block DFTs hold O(window) whatever M is
+# bounds the memory of a full-grid DFT, and keeps a product of two
+# residues mod M (weyl's n^m mod M) below 2^52, so exact in int64
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
 _ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
@@ -78,9 +78,6 @@ class DiophParams:
     def _bound(self, delta: float) -> float:
         return _float_pow(self.Lp / delta, self.L,
                           f"(L'/delta)^L at L = {self.L!r}, delta = {delta!r}")
-
-    def vacuous(self, delta: float) -> bool:
-        return self.err_threshold(delta) >= 0.5
 
 
 @dataclass
@@ -203,8 +200,25 @@ class DiophRows(Sequence):
                 zip(*(c.tolist() for c in self.columns.values()))]
 
 
-class _RowReport:
-    """The failures and verdict of a scan report, read off its rows."""
+@dataclass
+class _ScanReport:
+    """A grid scan's fields (_scan), with its failures and verdict.
+
+    The rows, columns of which a DiophRow is built only when read, are
+    every failure and the first ROW_SAMPLE_CAP points of each
+    non-vacuous level; a vacuous level (q = 1 passes every point) has
+    its summary, which counts all obligated points, and no rows.
+    """
+
+    grid_points: int
+    required_spacing: float
+    certified: bool
+    levels: list
+    rows: DiophRows
+
+    def to_obj(self) -> dict:
+        return {**vars(self), "levels": [vars(s) for s in self.levels],
+                "rows": self.rows.dicts()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=1)
@@ -219,32 +233,17 @@ class _RowReport:
 
 
 @dataclass
-class DiophReport(_RowReport):
-    """Scan outcome: per-level summaries plus row-level evidence.
-
-    The rows hold every failure and the first ROW_SAMPLE_CAP points of
-    each non-vacuous level; a vacuous level, where q = 1 passes every
-    point, has its summary and no rows.  The per-level summaries count
-    all obligated points.  The rows are columns (DiophRows); a DiophRow
-    is built only when one is read.  JSON writes each row once: the
-    failures are the rows with passed false.
-    """
+class DiophReport(_ScanReport):
+    """dioph_verify's outcome: the scan of S and its empirical L."""
 
     params: DiophParams
     set_size: int
     diam: int
-    grid_points: int
     spacing: float
-    required_spacing: float
-    certified: bool
-    levels: list
-    rows: DiophRows
     empirical_L: float | None = None
 
     def to_obj(self) -> dict:
-        return {**vars(self), "params": vars(self.params),
-                "levels": [vars(s) for s in self.levels],
-                "rows": self.rows.dicts()}
+        return {**super().to_obj(), "params": vars(self.params)}
 
     def csv_summary_rows(self) -> list:
         out = [[f.name for f in fields(LevelSummary)]]
@@ -370,61 +369,33 @@ def _empirical_exponent(peaks: tuple, M: int, D: float, levels) -> float:
     return exponent
 
 
-def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
-                 want_empirical_L: bool = False) -> DiophReport:
-    """Scan the spectrum of S on a rational grid and verify the property.
+def _scan(residues: np.ndarray, weights: np.ndarray, count: int, lo: int,
+          diam: int, M: int, D: float, levels: list, want_exponent: bool):
+    """The grid scan of dioph_verify and weyl_structure_scan.
 
-    grid_points is the number of grid points M over the full circle
-    (theta = j/M); by conjugate symmetry only j <= M/2 is scanned.
-    Each non-vacuous level makes one array call of best_q_on_grid over
-    its obligated j; counts and worst margins are array reductions
-    (both margins are monotone in q and err), and the rows keep the
-    first ROW_SAMPLE_CAP points of each non-vacuous level and every
-    failure as columns (DiophRows), so a DiophRow is built only when one
-    is read.  The empirical L (_empirical_exponent) takes one more walk,
-    uncapped, over the points of every level, vacuous or not: a level
-    vacuous at the configured L need not be at a smaller one, so the
-    value does not depend on params.L.  It is at least 1, the least L
-    the property admits.
+    levels holds (delta, q cap, err threshold, base) per level, largest
+    delta first.  |sum_i w_i e(s_i theta)| / count, the s_i
+    spanning diam, rises by at most margin = pi diam sup / M within half
+    a grid step (Bernstein; sup = sum |w| / count), so j/M is obligated
+    where it reaches max(delta - margin, delta / 2).  Returns the
+    _ScanReport fields and the empirical exponent (None unless wanted).
     """
-    S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
-    if S.size == 0:
-        raise DomainError("S must be nonempty")
-    levels = sorted(set(float(d) for d in delta_levels), reverse=True)
-    if not (levels and all(0 < d < 1 for d in levels)):
-        raise DomainError("delta levels must lie in (0, 1)")
-    if grid_points < 16:
-        raise DomainError("grid too small")
-    diam = int(S.max() - S.min())
-    if grid_points > GRID_POINT_BUDGET:
-        smallest = levels[-1]
-        suggested = params.Lp * (8.0 * max(diam, 1) / GRID_POINT_BUDGET) ** (
-            1.0 / params.L)
-        raise CapacityError(
-            f"grid of {grid_points} points exceeds budget "
-            f"{GRID_POINT_BUDGET}; at delta floor {smallest} try a floor "
-            f">= {suggested:.4g}")
-
-    M = int(grid_points)
-    caps = {d: params.q_cap(d) for d in levels}
-    nonvac = [d for d in levels if not params.vacuous(d)]
-    req_M = 8 * diam * max((caps[d] for d in nonvac), default=1)
-    required_spacing = 1.0 / req_M if req_M > 0 else 1.0
-    certified = (1.0 / M) <= required_spacing
-
-    margin = math.pi * diam / M
-    check_levels = {d: max(d - margin, 0.5 * d) for d in levels}
-    floor = min(check_levels.values())
-    peaks = _grid_peaks(np.mod(S, M).astype(np.int64), np.ones(S.size), M,
-                        int(S.min()) % M, diam + 1, floor, len(S))
+    sup = cfsum(np.abs(weights)).real / count
+    margin = math.pi * diam * sup / M
+    checks = [max(d - margin, 0.5 * d) for d, *_ in levels]
+    floor = min(checks)
+    req_M = 8 * diam * max((cap for _, cap, thresh, _ in levels
+                            if thresh < 0.5), default=1)
+    # 1.0 for a one-point set, 0.0 once req_M passes the float range
+    required_spacing = (1.0 / req_M if 0 < req_M < 2 ** 1024
+                        else float(req_M == 0))
+    peaks = _grid_peaks(residues, weights, M, lo, diam + 1, floor, count)
     rows, summaries = [], []
-    for d in levels:
-        vac = params.vacuous(d)
-        cap, thresh = caps[d], params.err_threshold(d)
-        check_level = check_levels[d]
+    for (d, cap, thresh, _), check in zip(levels, checks):
+        vac = thresh >= 0.5  # q = 1 passes, as ||theta|| <= 1/2
         js, vals = peaks
-        if check_level > floor:  # the lowest level reads every kept point
-            sel = vals >= check_level
+        if check > floor:  # the lowest level reads every kept point
+            sel = vals >= check
             js, vals = js[sel], vals[sel]
         theta = js / M
         if vac:
@@ -449,16 +420,52 @@ def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
             n_fail=int(js.size) - n_pass, worst_q_margin=worst_qm,
             worst_err_margin=worst_em))
         del js, vals, theta, q, err, ok, keep
-    emp_L = None
-    if want_empirical_L:  # at least 1, the least L the property admits
-        emp_L = max(1.0, _empirical_exponent(peaks, M, params.D, [
-            (check_levels[d], math.log(params.Lp / d)) for d in levels]))
+    exponent = _empirical_exponent(peaks, M, D, [
+        (check, base) for (*_, base), check in zip(levels, checks)]
+    ) if want_exponent else None
     del peaks  # the rows hold copies: free the spectrum before joining them
+    return {"grid_points": M, "required_spacing": required_spacing,
+            "certified": (1.0 / M) <= required_spacing,
+            "levels": summaries, "rows": DiophRows.concat(rows)}, exponent
+
+
+def dioph_verify(S, params: DiophParams, delta_levels, grid_points: int,
+                 want_empirical_L: bool = False) -> DiophReport:
+    """Scan the spectrum of S on a rational grid and verify the property.
+
+    grid_points is the number of grid points M over the full circle
+    (theta = j/M); by conjugate symmetry only j <= M/2 is scanned.  The
+    scan (_scan) takes the indicator of S averaged over S (sup = 1).
+    The empirical L walks every level, vacuous at params.L or not, so
+    it does not depend on params.L; it is at least 1, the least L the
+    property admits.
+    """
+    S = np.asarray(S if isinstance(S, np.ndarray) else list(S))
+    if S.size == 0:
+        raise DomainError("S must be nonempty")
+    levels = sorted(set(float(d) for d in delta_levels), reverse=True)
+    if not (levels and all(0 < d < 1 for d in levels)):
+        raise DomainError("delta levels must lie in (0, 1)")
+    if grid_points < 16:
+        raise DomainError("grid too small")
+    diam = int(S.max() - S.min())
+    if grid_points > GRID_POINT_BUDGET:
+        suggested = params.Lp * (8.0 * max(diam, 1) / GRID_POINT_BUDGET) ** (
+            1.0 / params.L)
+        raise CapacityError(
+            f"grid of {grid_points} points exceeds budget "
+            f"{GRID_POINT_BUDGET}; at delta floor {levels[-1]} try a floor "
+            f">= {suggested:.4g}")
+
+    M = int(grid_points)
+    scan, emp_L = _scan(
+        np.mod(S, M).astype(np.int64), np.ones(S.size), len(S),
+        int(S.min()) % M, diam, M, params.D,
+        [(d, params.q_cap(d), params.err_threshold(d),
+          math.log(params.Lp / d)) for d in levels], want_empirical_L)
+    emp_L = None if emp_L is None else max(1.0, emp_L)
     return DiophReport(params=params, set_size=int(S.size), diam=diam,
-                       grid_points=M, spacing=1.0 / M,
-                       required_spacing=required_spacing, certified=certified,
-                       levels=summaries, rows=DiophRows.concat(rows),
-                       empirical_L=emp_L)
+                       spacing=1.0 / M, empirical_L=emp_L, **scan)
 
 
 @dataclass(frozen=True)
@@ -579,17 +586,14 @@ def vonmangoldt_exp_sum(tables: MultiplicativeTables, X: int, m: int,
 
 
 @dataclass
-class WeylReport(_RowReport):
+class WeylReport(_ScanReport):
+    """weyl_structure_scan's outcome; abs_sum is |sum| / X."""
+
     X: int
     m: int
     eps: float
     exponent: float
-    grid_points: int
-    rows: DiophRows
     empirical_E: float
-
-    def to_obj(self) -> dict:
-        return {**vars(self), "rows": self.rows.dicts()}
 
 
 def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
@@ -597,16 +601,13 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
                         grid_points: int = 2 ** 22) -> WeylReport:
     """Scan theta for large von Mangoldt polynomial-phase sums.
 
-    Wherever |sum_{n<=X} Lambda(n) e(n^m theta)| >= eps*X on the grid,
-    verify q <= eps^-E with ||q theta|| <= eps^-E * X^-m at E = exponent,
-    and report the empirical minimal E that would make every obligated
-    point pass.  That E is taken over all convergents of each j/M
-    (_empirical_exponent, the walk of dioph's empirical L), so it does
-    not depend on exponent.  On the rational grid j/M the sum depends
-    only on n^m mod M, so the spectrum is the DFT of Lambda accumulated
-    at those residues.  While X^m < M they are the n^m in [1, X^m], and
-    _grid_peaks takes block DFTs of that window; otherwise it takes one
-    DFT of the whole grid.
+    Wherever |sum_{n<=X} Lambda(n) e(n^m theta)| >= eps*X, verify
+    q <= eps^-E with ||q theta|| <= eps^-E * X^-m at E = exponent, and
+    report the empirical minimal E (over all convergents, so exponent
+    does not move it).  This is dioph_verify's scan of Lambda(n) at
+    n^m mod M, averaged over X, with D = X^m: degree X^m - 1 and
+    sup = psi(X)/X give the grid margin.  While X^m < M the residues
+    are the n^m themselves, a window of X^m points.
     """
     if not (0 < eps < 1):
         raise DomainError("eps must be in (0, 1)")
@@ -621,26 +622,16 @@ def weyl_structure_scan(tables: MultiplicativeTables, X: int, m: int,
                        f"eps^-exponent at exponent = {exponent!r}")
     scale = _float_pow(float(X), m, f"X^m at m = {m!r}")
     M = int(grid_points)
-    # n^m mod M, one reduced product at a time: both factors are below
-    # M <= 2^26, so each product stays below 2^52
+    # n^m mod M by reduced products, exact below GRID_POINT_BUDGET
     base = np.arange(1, X + 1, dtype=np.int64) % M
     residues = base
     for _ in range(m - 1):
         residues = residues * base % M
-    # while X^m < M the residues are the n^m themselves, in [1, X^m]
-    lo, width = (1, X ** m) if X ** m < M else (0, M)
-    js, vals = _grid_peaks(residues, tables.vonmangoldt[1: X + 1], M, lo,
-                           width, eps * X)
-
-    cap = int(math.ceil(bound))
-    thresh = bound * float(X) ** (-m)
-    q, err = best_q_on_grid(js, M, cap)
-    ok = err <= thresh
-    emp_E = _empirical_exponent((js, vals), M, scale,
-                                [(eps * X, math.log(1.0 / eps))])
-    rows = DiophRows(js / M, vals, np.full(js.size, eps), q, err, ok)
-    return WeylReport(X=X, m=m, eps=eps, exponent=exponent, grid_points=M,
-                      rows=rows, empirical_E=emp_E)
+    scan, emp_E = _scan(
+        residues, tables.vonmangoldt[1: X + 1], X, 1, X ** m - 1, M, scale,
+        [(eps, math.ceil(bound), bound / scale, math.log(1.0 / eps))], True)
+    return WeylReport(X=X, m=m, eps=eps, exponent=exponent,
+                      empirical_E=emp_E, **scan)
 
 
 # -- concatenation-lemma statistics ------------------------------------

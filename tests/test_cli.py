@@ -140,10 +140,18 @@ class TestSubcommands:
         assert run(["dioph", "--mode", "vino", "--alpha", "0.2",
                     "--output", out]) == 0
 
-    def test_dioph_weyl(self, tmp_path):
+    def test_dioph_weyl(self, tmp_path, capsys):
+        # the level is vacuous here, so it writes no rows; the summary
+        # line counts the obligated points from the level summary
         out = str(tmp_path / "o")
         assert run(["dioph", "--mode", "weyl", "--X", "10000",
                     "--grid", str(2 ** 16), "--output", out]) == 0
+        result = json.loads((Path(out) / "weyl.json").read_text())["result"]
+        (level,) = result["levels"]
+        assert level["vacuous"] and level["n_obligated"] > 0
+        assert result["rows"] == [] and result["certified"] is False
+        assert (f"weyl: obligated={level['n_obligated']} all_pass=True "
+                "certified=False ") in capsys.readouterr().out
 
     def test_sieve(self, tmp_path):
         out = str(tmp_path / "o")
@@ -239,6 +247,19 @@ class TestExitCodes:
             assert run(["lemma-check", "--name", "shift", "--draws", draws,
                         "--output", out]) == 2
             assert "draws >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("function", ["const", "random"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys,
+                                             function):
+        # const draws nothing, yet its --seed is checked like random's
+        out = str(tmp_path / "o")
+        assert run(["norms", "--function", function, "--seed", "-5",
+                    "--N", "200", "--output", out]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert run(["lemma-check", "--name", "shift", "--seed", "-5",
+                    "--output", out]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_degenerate_weyl_grid_is_a_config_error(self, tmp_path, capsys):
@@ -528,7 +549,11 @@ class TestDefaultArtifactsPinned:
     grid became the least power of two >= X: sieve_report.json moved in
     sup_grid_points, sup_taylor_order, band_sup_bounds and band_sum_stat
     (each new pair overlaps the old), and decomposition.json did not
-    move.  Each subcommand runs in a fresh working
+    move.  dioph-weyl (was 9bed9245...a2b0) was recorded again when
+    weyl took dioph_verify's scan: the grid margin lowers its check
+    level, abs_sum is |sum| / X, the rows follow dioph's rule, and
+    weyl.json gained levels, certified and required_spacing.  Each
+    subcommand runs in a fresh working
     directory with relative paths; a digest covers every file under the
     output directory in sorted order, as relative path, a NUL byte, then
     the file's bytes."""
@@ -550,7 +575,7 @@ class TestDefaultArtifactsPinned:
         ("dioph-verify", ["dioph", "--mode", "verify"],
          "0386f0fe348bae98b408fc9e159ba10413a9c28314a54f88287149e43a3712aa"),
         ("dioph-weyl", ["dioph", "--mode", "weyl"],
-         "9bed9245faf9722d424e5246d4e46bdc1f0f1ff05d07f241b335cc968321a2b0"),
+         "6d8db8c8bba65a20e67f3f24cd6dbba73c9b8fc81d518fd151392d25cbe942ec"),
         ("dioph-vino", ["dioph", "--mode", "vino"],
          "fb5a3f9084202fa57bac89e544005be9ee54da587e41a1d6a272417ba19f6b26"),
         ("sieve", ["sieve", "--export-decomposition"],

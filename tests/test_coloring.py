@@ -179,7 +179,8 @@ class TestRichness:
         # through _pair_statistic
         rep = richness_scan(extremal_coloring(5),
                             RichnessConfig(2, 2, ((5, 20), (20, 50)), 2))
-        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        text = json.dumps(rep.to_obj(), sort_keys=True, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
             "77499faf054daceea46fa6bf6fec4eaea68f19fa3c35b80f34e4baf058359712")
 
     def test_pair_statistic_direct_oracle(self):

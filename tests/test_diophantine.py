@@ -575,11 +575,19 @@ class TestVonMangoldt:
         predicted = -psi + 2 * math.floor(math.log2(X)) * math.log(2)
         assert abs(got.real - predicted) < 1e-9
 
+    @pytest.fixture
+    def all_rows(self, monkeypatch):
+        """Lift the row cap, so that a report's rows are every obligated
+        point and not the first ROW_SAMPLE_CAP plus the failures."""
+        monkeypatch.setattr(dioph, "ROW_SAMPLE_CAP", 2 ** 62)
+
     def test_weyl_scan_finds_small_denominators(self, tables_1e5):
+        # at exponent 3 the level is live (error threshold 125/X); at the
+        # default 6 it is vacuous at X = 10^4 and writes no rows
         M = 2 ** 18
-        rep = weyl_structure_scan(tables_1e5, 10 ** 4, 1, 0.2,
+        rep = weyl_structure_scan(tables_1e5, 10 ** 4, 1, 0.2, exponent=3.0,
                                   grid_points=M)
-        assert rep.all_pass
+        assert not rep.levels[0].vacuous and rep.all_pass
         # at the grid points closest to 1/3 no q below the cap beats 3
         closest = [r for r in rep.rows if abs(r.theta - 1 / 3) <= 2.0 / M]
         assert closest and all(r.q == 3 for r in closest)
@@ -594,20 +602,22 @@ class TestVonMangoldt:
         assert weyl_structure_scan(tables_1e5, 1000, 1, 0.2,
                                    grid_points=16).grid_points == 16
 
-    def test_weyl_minor_arc_unobligated(self, tables_1e5):
+    def test_weyl_minor_arc_unobligated(self, tables_1e5, all_rows):
         # a generic irrational point: |sum| < eps X, so no row nearby
-        rep = weyl_structure_scan(tables_1e5, 10 ** 4, 1, 0.2,
+        rep = weyl_structure_scan(tables_1e5, 10 ** 4, 1, 0.2, exponent=3.0,
                                   grid_points=2 ** 18)
+        assert len(rep.rows) == rep.levels[0].n_obligated > 0
         bad = (math.sqrt(2) - 1)
         assert not [r for r in rep.rows if abs(r.theta - bad) < 1e-3]
 
     def test_weyl_m2_spectrum_matches_direct(self, tables_1e5):
-        # the residue-accumulated DFT must agree with direct evaluation
+        # the residue-accumulated DFT must agree with direct evaluation;
+        # abs_sum is |sum| / X
         X, M = 300, 4096
         rep = weyl_structure_scan(tables_1e5, X, 2, 0.5, grid_points=M)
         for r in rep.rows[:10]:
             direct = vonmangoldt_exp_sum(tables_1e5, X, 2, r.theta)
-            assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
+            assert abs(abs(direct) / X - r.abs_sum) < 1e-6
 
     def test_weyl_m3_spectrum_matches_direct(self, tables_1e5):
         # n^3 mod M by reduced products, on a grid that is not a power
@@ -617,7 +627,7 @@ class TestVonMangoldt:
         assert len(rep.rows) > 1
         for r in rep.rows[:10]:
             direct = vonmangoldt_exp_sum(tables_1e5, X, 3, r.theta)
-            assert abs(abs(direct) - r.abs_sum) < 1e-6 * X
+            assert abs(abs(direct) / X - r.abs_sum) < 1e-6
 
     def test_weyl_residues_past_int64(self, tables_1e5):
         # 300^8 > 2^63, so n^m must be reduced as it is built; the rows
@@ -627,40 +637,96 @@ class TestVonMangoldt:
         assert X ** m > 2 ** 63
         rep = weyl_structure_scan(tables_1e5, X, m, 0.2, grid_points=M)
         residues = np.array([pow(n, m, M) for n in range(1, X + 1)])
-        want = add_at_spectrum(residues, tables_1e5.vonmangoldt[1: X + 1], M)
-        js = np.flatnonzero(want >= 0.2 * X)
-        assert js.size > 1
+        want = add_at_spectrum(residues, tables_1e5.vonmangoldt[1: X + 1], M,
+                               X)
+        # the degree X^m - 1 makes the grid margin exceed eps/2, so the
+        # check level is eps/2; every point passes, so the rows are the
+        # first ROW_SAMPLE_CAP obligated points
+        js = np.flatnonzero(want >= 0.5 * 0.2)
+        assert rep.all_pass and rep.certified is False
+        assert rep.levels[0].n_obligated == js.size > dioph.ROW_SAMPLE_CAP
+        js = js[:dioph.ROW_SAMPLE_CAP]
         assert np.array_equal(np.rint(rep.rows.columns["theta"] * M), js)
         assert np.array_equal(rep.rows.columns["abs_sum"], want[js])
 
     @pytest.mark.parametrize("X,m,eps,M,E", [
-        (10 ** 4, 1, 0.2, 2 ** 18, 1.4307),
-        (300, 2, 0.5, 4096, 3.0),
+        (10 ** 4, 1, 0.2, 2 ** 18, 2.1133),
+        (300, 2, 0.5, 4096, 8.1581),
         (2000, 2, 0.5, 2 ** 16, 3.0),
     ])
-    def test_weyl_empirical_E_is_exhaustive_minimum(self, tables_1e5, X, m,
-                                                    eps, M, E):
+    def test_weyl_empirical_E_is_exhaustive_minimum(self, tables_1e5,
+                                                    all_rows, X, m, eps, M,
+                                                    E):
         # the smallest E at which every obligated point has a good q is
         # a minimum over all q, so the configured exponent cannot move it
         reps = [weyl_structure_scan(tables_1e5, X, m, eps, exponent=ex,
                                     grid_points=M) for ex in (1.4, 3.0, 6.0)]
         assert len({rep.empirical_E for rep in reps}) == 1
+        assert len(reps[0].rows) == reps[0].levels[0].n_obligated
         js = np.rint(reps[0].rows.columns["theta"] * M)
         worst = float(brute_keys(js, M, float(X) ** m).max())
         ref = math.log(worst) / math.log(1.0 / eps)
         assert reps[0].empirical_E == ref
         assert round(ref, 4) == E
 
+    @staticmethod
+    def unobligated_peaks(tables, X, M):
+        """The points j'/(16 M) of a 16x denser grid where
+        |sum_{n<=X} Lambda(n) e(n theta)| >= 0.2 X (a direct dense
+        spectrum) and neither grid point j/M beside them is obligated
+        by the scan; one such point is a theta the scan never checks."""
+        lam = tables.vonmangoldt[1: X + 1]
+        dense = add_at_spectrum(np.arange(1, X + 1), lam, 16 * M, X)
+        peaks = np.flatnonzero(dense >= 0.2)
+        assert peaks.size > 0
+        rep = weyl_structure_scan(tables, X, 1, 0.2, exponent=3.0,
+                                  grid_points=M)
+        assert len(rep.rows) == rep.levels[0].n_obligated
+        obligated = set(np.rint(rep.rows.columns["theta"] * M).tolist())
+        return [k for k in peaks.tolist()
+                if not {min(j, M - j) for j in (k // 16, -(-k // 16))}
+                & obligated]
+
+    def test_weyl_margin_covers_off_grid_peaks(self, tables_1e5):
+        # the check level eps - pi (X - 1) psi(X) / (X M) obligates a
+        # neighbour of every off-grid peak
+        assert self.unobligated_peaks(tables_1e5, 10 ** 4, 2 ** 14) == []
+
+    def test_weyl_without_margin_misses_off_grid_peaks(self, tables_1e5,
+                                                       monkeypatch):
+        # planted fault: sup |P| taken as 0, so the margin is 0 and the
+        # check level is eps; some peak then has no obligated neighbour
+        monkeypatch.setattr(dioph, "cfsum", lambda values: 0j)
+        assert self.unobligated_peaks(tables_1e5, 10 ** 4, 2 ** 14)
+
+    def test_weyl_required_spacing_past_the_float_range(self, tables_1e5):
+        # 8 (X^m - 1) q cap is about 10^351 at a live level: the spacing
+        # it asks for is below every float, not an OverflowError
+        rep = weyl_structure_scan(tables_1e5, 10, 200, 0.2, exponent=214.0,
+                                  grid_points=1024)
+        assert not rep.levels[0].vacuous
+        assert rep.required_spacing == 0.0 and rep.certified is False
+
     def test_weyl_default_report_bytes(self, tables_1e5):
         # recorded from the scan whose empirical E came from the capped q;
         # re-pinned (was 28d69363...6eda01ae) when the spectrum became
         # block DFTs over [1, X]: only abs_sum moved, by < 1e-15; re-pinned
         # (was dbb68d85...491f) when the JSON lost `all_pass`, `failures`
-        # and each row's `vacuous`, the old JSON less them equal to the new
+        # and each row's `vacuous`, the old JSON less them equal to the
+        # new; re-pinned (was f22f811c...56af9) when weyl took dioph's
+        # scan: the grid margin 0.0749 lowers the check level to 0.1251,
+        # abs_sum is |sum| / X, the rows are capped and the report gained
+        # levels, certified and required_spacing
         rep = weyl_structure_scan(tables_1e5, 10 ** 5, 1, 0.2,
                                   grid_points=2 ** 22)
+        (level,) = rep.levels
+        assert level.n_obligated == level.n_pass == 700
+        assert len(rep.rows) == dioph.ROW_SAMPLE_CAP
+        assert rep.certified is False
+        assert rep.required_spacing == 1.0 / (8 * 99999 * 15625)
+        assert round(rep.empirical_E, 4) == 2.1133
         assert sha(rep.to_json()) == \
-            "f22f811cb56102abfeaf8f370d33da68090f84ecf44cafa3af6134fbf4756af9"
+            "0bdb1768e59d2e7c047f66e71c5de878a0cb42884b8a0b65380cf3638b5d041e"
 
     def test_weyl_rejects_m_below_one(self, tables_1e5):
         with pytest.raises(DomainError):
