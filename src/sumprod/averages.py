@@ -104,14 +104,10 @@ def cfsum(values: np.ndarray) -> complex:
     return complex(sums[0], sums[1] if len(sums) > 1 else 0.0)
 
 
-def e_of(x, out: np.ndarray | None = None) -> np.ndarray:
-    """e(x) = exp(2*pi*i*x), computed in place in one complex array.
-
-    That array is out when it is given (complex128, x's shape).
-    """
+def e_of(x) -> np.ndarray:
+    """e(x) = exp(2*pi*i*x), computed in place in one complex array."""
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape, np.complex128)
+    out = np.empty(x.shape, np.complex128)
     np.multiply(x, 2j * np.pi, out=out)
     return np.exp(out, out=out)
 
@@ -162,18 +158,9 @@ class SampledFunction:
 
     @classmethod
     def from_phase(cls, alpha: float, lo: int, hi: int) -> "SampledFunction":
-        """e(alpha * n) on [lo, hi], built _CHUNK values at a time.
-
-        Each block's n are the same doubles as np.arange(lo, hi + 1) for
-        a window inside +-2^53, so every value matches the unblocked
-        e_of(alpha * np.arange(lo, hi + 1, dtype=np.float64)).
-        """
-        vals = np.empty(_window_size(lo, hi), dtype=np.complex128)
-        for s in range(0, len(vals), _CHUNK):
-            blk = vals[s:s + _CHUNK]
-            n = np.arange(lo + s, lo + s + len(blk), dtype=np.float64)
-            e_of(alpha * n, out=blk)
-        return cls(lo, hi, vals, bound=1.0)
+        """e(alpha * n) on [lo, hi]."""
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        return cls(lo, hi, e_of(alpha * n), bound=1.0)
 
     @classmethod
     def from_callable(cls, fn, lo: int, hi: int):
@@ -214,19 +201,8 @@ class SampledFunction:
 
     @classmethod
     def random_nonneg(cls, rng: np.random.Generator, lo: int, hi: int):
-        """Independent values uniform on [0, 1] (real, nonnegative).
-
-        The uniforms are drawn into the upper float half of the one
-        complex array and copied block by block into the real slots, so
-        the values and the generator's state match
-        rng.random(size).astype(np.complex128).
-        """
-        size = _window_size(lo, hi)
-        vals = np.empty(size, dtype=np.complex128)
-        u = vals.view(np.float64)[size:]
-        rng.random(out=u)
-        for s in range(0, size, _CHUNK):
-            vals[s:s + _CHUNK] = u[s:s + _CHUNK].copy()  # it overlaps u
+        """Independent values uniform on [0, 1] (real, nonnegative)."""
+        vals = rng.random(_window_size(lo, hi)).astype(np.complex128)
         return cls(lo, hi, vals, bound=1.0)
 
     # -- evaluation ---------------------------------------------------

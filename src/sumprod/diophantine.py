@@ -44,7 +44,6 @@ from .projections import NormParams, u1log_norm
 # residues mod M (weyl's n^m mod M) below 2^52, so exact in int64
 GRID_POINT_BUDGET = 2 ** 26
 ROW_SAMPLE_CAP = 512
-_ROW_CHUNK = 2 ** 14  # rows built per tolist() batch when iterating
 _BLOCK_BATCH = 2 ** 16  # points per batch of block DFT rows (_grid_peaks)
 
 
@@ -158,7 +157,7 @@ class DiophRows(Sequence):
     """The rows of a scan report, stored as one array per DiophRow field.
 
     A read-only sequence of DiophRows: len, int and negative indices,
-    slices (lists of DiophRows) and iteration (in _ROW_CHUNK slices).  A
+    slices (lists of DiophRows) and Sequence's iteration by index.  A
     DiophRow, of builtin float/int/bool values, is built only for a row
     that is read; len, the failures and the verdict read the columns.
     """
@@ -184,10 +183,6 @@ class DiophRows(Sequence):
                     zip(*(c[i].tolist() for c in self.columns.values()))]
         i = operator.index(i)
         return DiophRow(*(c[i].item() for c in self.columns.values()))
-
-    def __iter__(self):
-        for lo in range(0, len(self), _ROW_CHUNK):
-            yield from self[lo: lo + _ROW_CHUNK]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiophRows) and all(
@@ -377,15 +372,18 @@ def _scan(residues: np.ndarray, weights: np.ndarray, count: int, lo: int,
     delta first.  |sum_i w_i e(s_i theta)| / count, the s_i
     spanning diam, rises by at most margin = pi diam sup / M within half
     a grid step (Bernstein; sup = sum |w| / count), so j/M is obligated
-    where it reaches max(delta - margin, delta / 2).  Returns the
-    _ScanReport fields and the empirical exponent (None unless wanted).
+    where it reaches max(delta - margin, delta / 2).  The scan is
+    certified when the grid meets the required spacing and, at every
+    live level (err threshold < 1/2), margin <= delta / 2, so that the
+    check level covers every off-grid theta.  Returns the _ScanReport
+    fields and the empirical exponent (None unless wanted).
     """
     sup = cfsum(np.abs(weights)).real / count
     margin = math.pi * diam * sup / M
     checks = [max(d - margin, 0.5 * d) for d, *_ in levels]
     floor = min(checks)
-    req_M = 8 * diam * max((cap for _, cap, thresh, _ in levels
-                            if thresh < 0.5), default=1)
+    live = [(d, cap) for d, cap, thresh, _ in levels if thresh < 0.5]
+    req_M = 8 * diam * max((cap for _, cap in live), default=1)
     # 1.0 for a one-point set, 0.0 once req_M passes the float range
     required_spacing = (1.0 / req_M if 0 < req_M < 2 ** 1024
                         else float(req_M == 0))
@@ -425,7 +423,8 @@ def _scan(residues: np.ndarray, weights: np.ndarray, count: int, lo: int,
     ) if want_exponent else None
     del peaks  # the rows hold copies: free the spectrum before joining them
     return {"grid_points": M, "required_spacing": required_spacing,
-            "certified": (1.0 / M) <= required_spacing,
+            "certified": (1.0 / M) <= required_spacing
+            and all(margin <= 0.5 * d for d, _ in live),
             "levels": summaries, "rows": DiophRows.concat(rows)}, exponent
 
 

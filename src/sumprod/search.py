@@ -387,10 +387,10 @@ def sp_number(r: int, nmax: int | None = None,
     chain walk.  The certificate pair re-verifies: colorable at N* - 1,
     not-colorable at N* (a refutation at N* - 1, which the scan colored,
     raises RuntimeError).  When the scan reaches nmax or runs out of its
-    node or time budget, n_star is None and the note says which; at
-    nmax the scan's coloring of [nmax] is checked first.  The
-    time budget, a number >= 0, is checked between values of N and, as
-    a deadline, inside every exact search.
+    node or time budget at N, n_star is None and the note says which;
+    every such exit first checks the scan's coloring of what it settled,
+    [nmax] or [N - 1].  The time budget, a number >= 0, is checked
+    between values of N and, as a deadline, inside every exact search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
@@ -404,10 +404,11 @@ def sp_number(r: int, nmax: int | None = None,
                 else time.monotonic() + time_budget_s)
     color: dict[int, int] = {}
     adj: dict[int, list] = {}
+    settled, note = nmax, f"{r}-colorable for all N <= nmax"
     for N in range(12, nmax + 1):
         if deadline is not None and time.monotonic() > deadline:
-            return ThresholdResult(r, None, None, None, N,
-                                   "time budget exhausted")
+            settled, note = N - 1, "time budget exhausted"
+            break
         sums = [s for s, _ in _edges_with_product(N)]
         used = {color.get(s, 0) for s in sums}
         free = next((c for c in range(r) if c not in used), None)
@@ -432,11 +433,11 @@ def sp_number(r: int, nmax: int | None = None,
                                    f"{r}-colored it")
             cert = below
         if cert.verdict == "indeterminate":
-            return ThresholdResult(r, None, None, None, N,
-                                   "node budget exhausted"
-                                   if cert.trace["nodes"] >= node_budget
-                                   else "time budget exhausted")
+            settled, note = N - 1, ("node budget exhausted"
+                                    if cert.trace["nodes"] >= node_budget
+                                    else "time budget exhausted")
+            break
         color = dict(enumerate(cert.coloring.colors.tolist(), 1))
-    _checked_coloring(nmax, r, color)  # the claim below rests on it alone
-    return ThresholdResult(r, None, None, None, nmax,
-                           f"{r}-colorable for all N <= nmax")
+    _checked_coloring(settled, r, color)  # the note rests on it alone
+    # a budget stop at N is reported at N, the end of the scan at nmax
+    return ThresholdResult(r, None, None, None, min(settled + 1, nmax), note)

@@ -193,15 +193,6 @@ class TestWindowConstruction:
         self.assert_one_buffer(
             lambda lo, hi: SampledFunction.random_disc(rng, lo, hi))
 
-    def test_random_nonneg_builds_one_buffer(self):
-        rng = np.random.default_rng(5)
-        self.assert_one_buffer(
-            lambda lo, hi: SampledFunction.random_nonneg(rng, lo, hi))
-
-    def test_from_phase_builds_one_buffer(self):
-        self.assert_one_buffer(
-            lambda lo, hi: SampledFunction.from_phase(0.3, lo, hi))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
     @pytest.mark.parametrize("size, at", [
         (3 * BLOCK, BLOCK + 3), (2 * BLOCK + 10, 2 * BLOCK + 5)])

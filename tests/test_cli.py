@@ -510,6 +510,9 @@ class TestDeterminism:
         ["norms", "--N", "1500", "--q", "1,3", "--H", "8", "--seed", "3"],
         ["dioph", "--mode", "verify", "--D", "100", "--levels", "0.1",
          "--grid", str(2 ** 14)],
+        # exponent 3 keeps the level live, so weyl.json holds rows
+        ["dioph", "--mode", "weyl", "--X", "20000", "--exponent", "3",
+         "--grid", str(2 ** 18)],
         ["sieve", "--X", "10000", "--export-decomposition"],
         ["richness", "--r", "4"],
     ]

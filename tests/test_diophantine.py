@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import sumprod.diophantine as dioph
 from sumprod.averages import SampledFunction, log_avg, uniform_avg
-from sumprod.diophantine import (_ROW_CHUNK, AlmostPrimeFamily, DiophParams,
-                                 DiophRows, concat_conclusion_search,
-                                 concat_hypothesis, dioph_verify, exp_sum,
-                                 gamma_coprimality, gamma_family,
-                                 gamma_prime_window, vino_verify,
-                                 vonmangoldt_exp_sum, weyl_structure_scan)
+from sumprod.diophantine import (AlmostPrimeFamily, DiophParams, DiophRows,
+                                 concat_conclusion_search, concat_hypothesis,
+                                 dioph_verify, exp_sum, gamma_coprimality,
+                                 gamma_family, gamma_prime_window,
+                                 vino_verify, vonmangoldt_exp_sum,
+                                 weyl_structure_scan)
 from sumprod.errors import CapacityError, DomainError, RangeError
 from sumprod.numtheory import convergent_denominators, sieve_primes
 
@@ -349,6 +349,8 @@ class TestDiophPinned:
 class TestDiophRows:
     """The rows of a report are columns read as a sequence of DiophRows."""
 
+    SPLIT = 2 ** 14   # a row index inside the probe's rows, well past 0
+
     @pytest.fixture(scope="class")
     def probe(self, prime_table):
         return almost_prime_round_trip(prime_table, 1, 2 ** 16)[0]
@@ -360,12 +362,12 @@ class TestDiophRows:
 
     def test_iteration_equals_indexing(self, probe):
         rows = probe.rows
-        assert len(rows) > _ROW_CHUNK
+        assert len(rows) > self.SPLIT
         assert list(rows) == [rows[i] for i in range(len(rows))]
 
     def test_slices_and_negative_indices(self, probe):
         rows, n = probe.rows, len(probe.rows)
-        lo, hi = _ROW_CHUNK - 3, _ROW_CHUNK + 3
+        lo, hi = self.SPLIT - 3, self.SPLIT + 3
         assert rows[lo:hi] == [rows[i] for i in range(lo, hi)]
         assert rows[-1] == rows[n - 1] and rows[-n] == rows[0]
         assert rows[n - 2:] == [rows[-2], rows[-1]]
@@ -377,7 +379,7 @@ class TestDiophRows:
         types = {"theta": float, "abs_sum": float, "level": float, "q": int,
                  "err": float, "passed": bool}
         rows = probe.rows
-        for row in [rows[0], rows[-1], *rows[_ROW_CHUNK - 1:_ROW_CHUNK + 1],
+        for row in [rows[0], rows[-1], *rows[self.SPLIT - 1:self.SPLIT + 1],
                     next(iter(probe.failures))]:
             assert {k: type(v) for k, v in vars(row).items()} == types
             json.dumps(vars(row))
@@ -706,6 +708,17 @@ class TestVonMangoldt:
                                   grid_points=1024)
         assert not rep.levels[0].vacuous
         assert rep.required_spacing == 0.0 and rep.certified is False
+
+    def test_weyl_margin_past_half_the_level_is_not_certified(self,
+                                                               tables_1e5):
+        # 8192 points meet the spacing 8 * 999 * 1 asks for, but the
+        # margin pi 999 psi(1000) / (1000 * 8192) = 0.382 passes
+        # eps / 2 = 0.35, so the check level eps / 2 misses some theta
+        rep = weyl_structure_scan(tables_1e5, 1000, 1, 0.7, exponent=0.0,
+                                  grid_points=8192)
+        assert not rep.levels[0].vacuous
+        assert 1.0 / rep.grid_points <= rep.required_spacing
+        assert rep.certified is False
 
     def test_weyl_default_report_bytes(self, tables_1e5):
         # recorded from the scan whose empirical E came from the capped q;

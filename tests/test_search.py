@@ -539,6 +539,31 @@ class TestSpNumber:
         with pytest.raises(RuntimeError, match=match):
             sp_number(r, nmax=800)
 
+    @pytest.mark.parametrize("budget", ["node", "time"])
+    def test_planted_scan_fault_at_a_budget_stop_is_caught(self, monkeypatch,
+                                                           budget):
+        # with product 713's pairs lost to the scan, its coloring of [719]
+        # gives 54 and 713 one color; a node budget of 1000, or a clock
+        # that passes the deadline once N = 719 is scanned, stops the
+        # scan at 720, and the coloring of [719] that stop reports on is
+        # checked as the one of [nmax] is
+        real = search._edges_with_product
+        clock = {"now": 0.0}
+
+        def edges(N):
+            if N == 719:
+                clock["now"] = 1.0
+            return [] if N == 713 else real(N)
+
+        monkeypatch.setattr(search, "_edges_with_product", edges)
+        monkeypatch.setattr(search, "time", SimpleNamespace(
+            monotonic=lambda: clock["now"]))
+        budgets = ({"node_budget": 1000} if budget == "node"
+                   else {"time_budget_s": 0.5})
+        with pytest.raises(RuntimeError,
+                           match="N = 719 pattern graph: 54 and 713 share"):
+            sp_number(3, nmax=800, **budgets)
+
     def test_planted_repair_fault_is_caught(self, monkeypatch):
         # a repair that gives N the freed color without swapping the
         # chains: the check of the repaired coloring rejects it at once
