@@ -75,15 +75,19 @@ def _emit(outdir: str, name: str, pieces):
 
 
 def _emit_json(args, name: str, payload: dict):
-    """Write {"config": header, "result": payload}.  The header is every
-    resolved flag but --config and --output (left out so that reruns
-    into other directories stay byte-identical)."""
-    header = {k: v for k, v in vars(args).items()
+    """Write {"config": header, "result": payload} as strict JSON.  The
+    header is every resolved flag but --config and --output (left out so
+    that reruns into other directories stay byte-identical); a flag's
+    non-finite float (--time-budget inf) is written as its text, which
+    reads back as a --config value."""
+    header = {k: repr(v) if isinstance(v, float) and not math.isfinite(v)
+              else v for k, v in vars(args).items()
               if k not in _PLUMBING and k != "output"}
     header["precedence"] = "cli>config-file>defaults"
     header["version"] = __version__
     _emit(args.output, name, [json.dumps({"config": header, "result": payload},
-                                         sort_keys=True, indent=1), "\n"])
+                                         sort_keys=True, indent=1,
+                                         allow_nan=False), "\n"])
 
 
 def _emit_csv(outdir: str, name: str, rows: list):

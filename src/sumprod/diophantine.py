@@ -149,8 +149,8 @@ class LevelSummary:
     n_obligated: int
     n_pass: int
     n_fail: int
-    worst_q_margin: float
-    worst_err_margin: float
+    worst_q_margin: float | None     # None where no point is obligated
+    worst_err_margin: float | None
 
 
 class DiophRows(Sequence):
@@ -245,7 +245,8 @@ class DiophReport(_ScanReport):
         for s in self.levels:
             out.append([s.level, s.q_cap, s.err_threshold, int(s.vacuous),
                         s.n_obligated, s.n_pass, s.n_fail,
-                        repr(s.worst_q_margin), repr(s.worst_err_margin)])
+                        *("" if m is None else repr(m) for m in
+                          (s.worst_q_margin, s.worst_err_margin))])
         return out
 
 
@@ -406,7 +407,7 @@ def _scan(residues: np.ndarray, weights: np.ndarray, count: int, lo: int,
             worst_qm = (cap - int(q.max())) / cap
             worst_em = (thresh - float(err.max())) / thresh
         else:
-            worst_qm = worst_em = math.inf
+            worst_qm = worst_em = None
         keep = ~ok
         keep[:ROW_SAMPLE_CAP] = not vac
         rows.append(DiophRows(theta[keep], vals[keep],

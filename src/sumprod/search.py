@@ -6,9 +6,10 @@ xy over x > y > 2, xy <= N (no self-loops: xy >= 3x > x+y there).
 colorability decides one (N, r): r = 1 reduces to the first edge, r = 2
 to bipartiteness (an odd cycle certifies failure), r >= 3 to DSATUR
 backtracking with symmetry breaking under a node budget (Brelaz, CACM
-1979).  The search runs on an explicit stack, so its depth is not
-bounded by the recursion limit, and picks vertices from one bitset of
-uncolored vertices per saturation level instead of scanning them all.
+1979).  The search runs on an explicit stack of saved states, so its
+depth is not bounded by the recursion limit and a dead end returns to
+the deepest open choice in one step, and it holds the saturations as
+bit slices over vertex bitsets, so a pick is a few ANDs, not a scan.
 Every coloring is checked by find_monochromatic before it is returned,
 and every r <= 2 refutation against the pattern's definition.
 sp_number runs one scan for every r and keeps a coloring plus the
@@ -180,40 +181,44 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
     then smallest vertex; symmetry broken by allowing at most one fresh
     color per step (so the first vertex gets color 0, the second at
     most color 1).  Vertices are ranked once by (-degree, vertex) and
-    every vertex set is a Python-int bitset over those ranks:
-    level[s] holds the uncolored ranks with s distinct neighbour
-    colors, so the pick is the lowest bit of the highest non-empty
-    level, and has[c] holds the ranks with a neighbour colored c (the
-    per-vertex color masks, stored by color).  The backtracking runs
-    on an explicit stack of (low, nb, color, used, touched, s) frames:
-    the picked vertex's bit and neighbour bitset, its color, the colors
-    in use before it, the neighbours that color moved up one level and
-    the saturation s it was picked at, so a vertex whose every color
-    fails goes back to level[s] without a scan of has.
+    every vertex set is a Python-int bitset over those ranks: unc holds
+    the uncolored ranks, has[c] the ranks with a neighbour colored c,
+    and sat[b] bit b of each uncolored rank's count of distinct
+    neighbour colors.  The pick ANDs unc down the slices, keeping each
+    non-empty result, and takes its lowest bit; a placement adds one to
+    the count of each uncolored neighbour new to its color by a carry
+    rippled up the slices.  Each frame of the explicit stack is the
+    state its vertex was picked in, (low, color, used, has, sat, unc):
+    ints are immutable and a placement copies has and sat before it
+    writes them, so no frame changes.  opens holds (frame, next free
+    color) for each frame with a free color above its own, so a vertex
+    with no free color resumes the deepest of them from its saved state
+    and drops the frames above it, where undoing one frame at a time
+    would pop each of them: the same tree, node count and checks.
     Past the time.monotonic() deadline, checked every 1024 nodes, the
     verdict is "indeterminate", as when the node budget runs out.
     """
     adj = graph.adj
     # the symmetry rule never reaches color len(adj), so the per-color
-    # and per-level lists need no more entries than that (none for the
-    # empty graph, which the loop then finds colorable at once)
+    # lists need no more entries than that (none for the empty graph,
+    # which the loop then finds colorable at once)
     r = min(r, len(adj))
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))
     rank = {v: i for i, v in enumerate(order)}
     nbrs = [sum(1 << rank[u] for u in adj[v]) for v in order]
-    uncolored = (1 << len(order)) - 1
-    level = [uncolored] + [0] * r
+    unc = (1 << len(order)) - 1
     has = [0] * r
-    up = range(r - 1, -1, -1)
-    down = range(1, r + 1)
-    stack: list[tuple[int, int, int, int, int, int]] = []
+    sat = [0] * r.bit_length()   # a count <= r needs r.bit_length() bits
+    top_down = range(len(sat) - 1, -1, -1)
+    stack: list[tuple[int, int, int, list, list, int]] = []
+    opens: list[tuple[int, int]] = []
     nodes = 0
     max_depth = 0
     used = 0
     verdict = None
     while verdict is None:
         # enter a search node at depth len(stack)
-        if not uncolored:
+        if not unc:
             verdict = "colorable"
             break
         if nodes >= node_budget or (
@@ -221,54 +226,52 @@ def _dsatur_decide(graph: PatternGraph, r: int, node_budget: int,
                 and time.monotonic() > deadline):
             verdict = "indeterminate"
             break
-        s = r
-        while not level[s]:
-            s -= 1
-        low = level[s] & -level[s]
-        level[s] ^= low
-        uncolored ^= low
-        nb = nbrs[low.bit_length() - 1]
+        pick = unc
+        for b in top_down:
+            pick = pick & sat[b] or pick
+        low = pick & -pick
+        unc ^= low
+        limit = used + 1 if used < r else r  # at most one fresh color
         c = 0
-        while True:
-            limit = used + 1 if used < r else r  # at most one fresh color
-            while c < limit and has[c] & low:
-                c += 1
-            if c < limit:
-                nodes += 1
-                touched = nb & uncolored & ~has[c]
-                has[c] |= touched
-                for t in up:
-                    moved = level[t] & touched
-                    if moved:
-                        level[t] ^= moved
-                        level[t + 1] |= moved
-                stack.append((low, nb, c, used, touched, s))
-                if c == used:
-                    used += 1
-                if len(stack) > max_depth:
-                    max_depth = len(stack)
-                break
-            # every color failed: uncolor the vertex and resume its
-            # parent.  Each deeper change to has is undone by now, so the
-            # vertex has the s neighbour colors it was picked with.
-            level[s] |= low
-            uncolored |= low
-            if not stack:
+        while c < limit and has[c] & low:
+            c += 1
+        if c == limit:
+            # every color fails here: resume the deepest frame with a
+            # free color left, from the state it was picked in
+            if not opens:
                 verdict = "not-colorable"
                 break
-            low, nb, c, used, touched, s = stack.pop()
-            has[c] ^= touched
-            for t in down:
-                moved = level[t] & touched
-                if moved:
-                    level[t] ^= moved
-                    level[t - 1] |= moved
-            c += 1
+            j, c = opens.pop()
+            low, _, used, has, sat, unc = stack[j]
+            del stack[j:]
+            limit = used + 1 if used < r else r
+        nxt = c + 1
+        while nxt < limit and has[nxt] & low:
+            nxt += 1
+        if nxt < limit:
+            opens.append((len(stack), nxt))
+        stack.append((low, c, used, has, sat, unc))
+        nodes += 1
+        if c == used:
+            used += 1
+        if len(stack) > max_depth:
+            max_depth = len(stack)
+        # a frame's lists are never written: copy, then add one to the
+        # count of each uncolored neighbour that c is new to
+        carry = nbrs[low.bit_length() - 1] & unc
+        carry ^= carry & has[c]
+        has = has.copy()
+        has[c] |= carry
+        sat = sat.copy()
+        b = 0
+        while carry:
+            sat[b], carry = sat[b] ^ carry, sat[b] & carry
+            b += 1
     trace = {"nodes": nodes, "max_depth": max_depth}
     if verdict != "colorable":
         return verdict, {}, trace
     return verdict, {order[low.bit_length() - 1]: c
-                     for low, _, c, _, _, _ in stack}, trace
+                     for low, c, _, _, _, _ in stack}, trace
 
 
 def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,

@@ -244,6 +244,7 @@ class TestAcceptance:
         cases = [
             ["extremal", "--r", "6"],
             ["threshold", "--r", "2"],
+            ["threshold", "--r", "3", "--nmax", "800"],
             ["lemma-check", "--name", "shift", "--draws", "40",
              "--seed", str(DEFAULT_SEED)],
             ["lemma-check", "--name", "elliott", "--draws", "9",
@@ -253,7 +254,8 @@ class TestAcceptance:
             ["norms", "--N", "2000", "--seed", str(DEFAULT_SEED)],
             ["dioph", "--mode", "verify", "--D", "1000",
              "--levels", "0.1,0.4", "--grid", str(2 ** 18)],
-            ["dioph", "--mode", "weyl", "--X", "20000",
+            # exponent 3 keeps the level live, so weyl.json holds rows
+            ["dioph", "--mode", "weyl", "--X", "20000", "--exponent", "3",
              "--grid", str(2 ** 18)],
             ["sieve", "--X", "20000", "--export-decomposition"],
             ["richness", "--r", "5"],

@@ -404,7 +404,9 @@ class TestHeader:
         (["dioph", "--set", "almostprime", "--intervals", "100:140",
           "--levels", "0.1", "--grid", "4096", "--empirical-L"], []),
         (["dioph", "--mode", "vino", "--alpha", "0.3", "--T", "500"], []),
-        (["dioph", "--mode", "weyl", "--X", "1000", "--grid", "4096"], []),
+        # exponent 3 keeps the level live, so the replay compares rows
+        (["dioph", "--mode", "weyl", "--X", "1000", "--exponent", "3",
+          "--grid", "4096"], []),
         (["sieve", "--X", "10000", "--Q", "4", "--export-decomposition"],
          []),
         (["richness", "--coloring", "col.json", "--V", "3"], []),
@@ -524,6 +526,40 @@ class TestDeterminism:
             assert run(case + ["--output", d1]) == 0
             assert run(case + ["--output", d2]) == 0
             assert dir_digest(d1) == dir_digest(d2), case
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestStrictJson:
+    """JSON artifacts hold no NaN or Infinity."""
+
+    def test_empty_weyl_level_has_null_margins(self, tmp_path):
+        # no point reaches eps = 0.99, so the level has no worst margin
+        out = tmp_path / "o"
+        assert run(["dioph", "--mode", "weyl", "--X", "100", "--eps", "0.99",
+                    "--output", str(out)]) == 0
+        obj = json.loads((out / "weyl.json").read_text(),
+                         parse_constant=_no_constant)
+        (level,) = obj["result"]["levels"]
+        assert level["n_obligated"] == 0
+        assert level["worst_q_margin"] is None
+        assert level["worst_err_margin"] is None
+
+    def test_infinite_time_budget_is_logged_as_text(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["threshold", "--r", "3", "--nmax", "100"]
+        code = run(argv + ["--time-budget", "inf", "--output", "a"])
+        values = json.loads(Path("a/threshold.json").read_text(),
+                            parse_constant=_no_constant)["config"]
+        assert values["time_budget"] == "inf"
+        del values["precedence"], values["version"]
+        Path("cfg.json").write_text(json.dumps(values))
+        assert run(argv[:1] + ["--config", "cfg.json", "--output", "b"]) \
+            == code
+        assert dir_digest("b") == dir_digest("a")
 
 
 class TestDefaultArtifactsPinned:

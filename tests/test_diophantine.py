@@ -346,6 +346,15 @@ class TestDiophPinned:
             [[446, 446, 0], [734, 734, 0], [1370, 1370, 0], [2963, 2963, 0]]
 
 
+def test_null_margin_is_an_empty_csv_cell():
+    # every dioph_verify level obligates j = 0 (value 1), so an empty
+    # level, as weyl's can be, is built here
+    rep = dioph_verify(np.arange(1, 101), DiophParams(2.0, 8.0, 100.0),
+                       [0.4], grid_points=2 ** 12)
+    rep.levels[0].worst_q_margin = rep.levels[0].worst_err_margin = None
+    assert rep.csv_summary_rows()[1][-2:] == ["", ""]
+
+
 class TestDiophRows:
     """The rows of a report are columns read as a sequence of DiophRows."""
 

@@ -351,15 +351,16 @@ def _graph(N):
 
 class TestSearchMatchesReference:
     """The library's DSATUR against the frozen reference engine: the same
-    verdict, assignment and trace on a seeded sample of N, at r = 3 and 4
-    and at node budgets that cut the search at its first nodes, inside a
-    backtrack and not at all."""
+    verdict, assignment and trace on a seeded sample of N, at r = 3, 4
+    and 5 and at node budgets that cut the search at its first nodes,
+    inside a backtrack, right after a jump back over many frames and not
+    at all, and at the same deadline."""
 
     SAMPLE = sorted(random.Random(1979).sample(range(12, 1501), 6)) + [774]
 
     @pytest.mark.parametrize("budget", [1, 2, 1000, 30000,
                                         search.DEFAULT_NODE_BUDGET])
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [3, 4, 5])
     def test_same_result(self, r, budget):
         for N in self.SAMPLE:
             got = search._dsatur_decide(_graph(N), r, budget, None)
@@ -377,6 +378,41 @@ class TestSearchMatchesReference:
         assert trace["nodes"] == 30000 and trace["max_depth"] < 30000
         assert (verdict, assignment, trace) == reference_dsatur_decide(
             _graph(N), r, 30000, None)
+
+    # each budget is the node placed right after a dead end, by the frame
+    # that the reference resumes once it has undone the frames above it
+    # one at a time (read off an instrumented copy of the reference):
+    # [774] dead-ends at depth 99 and resumes frame 79 at node 100, then
+    # at depth 82 and resumes frame 37 at node 103; [4592], r = 4, makes
+    # its longest jump of the first 30,000 nodes at node 12,744, from
+    # depth 420 back to frame 176
+    @pytest.mark.parametrize("N, r, budget", [
+        (774, 3, 100), (774, 3, 103), (4592, 4, 12744)])
+    def test_cut_right_after_a_jump(self, N, r, budget):
+        got = search._dsatur_decide(_graph(N), r, budget, None)
+        assert got[0] == "indeterminate" and got[2]["nodes"] == budget
+        assert got == reference_dsatur_decide(_graph(N), r, budget, None)
+
+    def test_same_deadline_stop(self, monkeypatch):
+        # a clock that moves 0.125 s per reading: both engines read it at
+        # nodes 0, 1024, 2048 and 3072, where it passes the 0.4 s deadline
+        def stepping_time():
+            clock = {"now": 0.0}
+
+            def monotonic():
+                clock["now"] += 0.125
+                return clock["now"]
+            return SimpleNamespace(monotonic=monotonic)
+
+        monkeypatch.setattr(search, "time", stepping_time())
+        got = search._dsatur_decide(_graph(774), 3,
+                                    search.DEFAULT_NODE_BUDGET, 0.4)
+        monkeypatch.setitem(reference_dsatur_decide.__globals__, "time",
+                            stepping_time())
+        want = reference_dsatur_decide(_graph(774), 3,
+                                       search.DEFAULT_NODE_BUDGET, 0.4)
+        assert got == want == ("indeterminate", {},
+                               {"nodes": 3072, "max_depth": 176})
 
 
 class TestSpNumber:
