@@ -178,6 +178,8 @@ def _cmd_threshold(args) -> int:
     if res.n_star is None:
         print(f"threshold r={args.r}: not found <= {res.exhausted_at} "
               f"({res.note})")
+        print(f"  N*({args.r}) > {res.below.N} "
+              f"(checked coloring in threshold.json)")
         return EXIT_BUDGET
     print(f"threshold r={args.r}: N*={res.n_star}")
     lower = (3 ** args.r + 7) // 2

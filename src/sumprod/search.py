@@ -16,7 +16,9 @@ sp_number runs one scan for every r and keeps a coloring plus the
 adjacency of the products scanned so far: each product N takes the
 first color its pair sums leave free; where none is free, a Kempe-chain
 swap tries to free one, and the scan re-solves exactly only where no
-chain frees a color.
+chain frees a color.  Every exit's colorable certificate is the scan's
+own checked coloring of what it settled, so a budget stop still backs
+a lower bound on N*(r); only the refutation at N* is the exact search's.
 """
 
 from __future__ import annotations
@@ -324,14 +326,14 @@ def colorability(N: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET,
 class ThresholdResult:
     r: int
     n_star: int | None
-    below: SearchCertificate | None
+    below: SearchCertificate
     at: SearchCertificate | None
     exhausted_at: int | None = None
     note: str = ""
 
     def to_obj(self) -> dict:
         return {**vars(self),
-                "below": self.below.to_obj() if self.below else None,
+                "below": self.below.to_obj(),
                 "at": self.at.to_obj() if self.at else None}
 
     def to_json(self) -> str:
@@ -387,13 +389,15 @@ def sp_number(r: int, nmax: int | None = None,
     coloring of [N] is checked by _checked_coloring; only when no chain
     frees a color does the exact colorability(N, r) decide N (and, if
     colorable, replace the coloring).  N joins the adjacency after its
-    chain walk.  The certificate pair re-verifies: colorable at N* - 1,
-    not-colorable at N* (a refutation at N* - 1, which the scan colored,
-    raises RuntimeError).  When the scan reaches nmax or runs out of its
-    node or time budget at N, n_star is None and the note says which;
-    every such exit first checks the scan's coloring of what it settled,
-    [nmax] or [N - 1].  The time budget, a number >= 0, is checked
-    between values of N and, as a deadline, inside every exact search.
+    chain walk.  The scan stops at the first refuted N, which is n_star
+    with its refutation as at; when the node or time budget runs out at
+    N; or at nmax.  Every exit takes below from the scan alone: its
+    coloring of what it settled, [N* - 1], [N - 1] or [nmax], checked
+    by _checked_coloring, so a scan fault raises RuntimeError and never
+    reaches a result.  Without N*, n_star and at are None, the note says
+    why, and below backs N*(r) > below.N.  The time budget, a number
+    >= 0, is checked between values of N and, as a deadline, inside
+    every exact search.
     """
     if r < 1:
         raise DomainError("need r >= 1")
@@ -407,6 +411,7 @@ def sp_number(r: int, nmax: int | None = None,
                 else time.monotonic() + time_budget_s)
     color: dict[int, int] = {}
     adj: dict[int, list] = {}
+    n_star = at = None
     settled, note = nmax, f"{r}-colorable for all N <= nmax"
     for N in range(12, nmax + 1):
         if deadline is not None and time.monotonic() > deadline:
@@ -428,19 +433,17 @@ def sp_number(r: int, nmax: int | None = None,
             continue
         cert = colorability(N, r, node_budget, deadline)
         if cert.verdict == "not-colorable":
-            below = colorability(N - 1, r, node_budget, deadline)
-            if below.verdict == "colorable":
-                return ThresholdResult(r, N, below, cert)
-            if below.verdict == "not-colorable":
-                raise RuntimeError(f"[{N - 1}] refuted after the scan "
-                                   f"{r}-colored it")
-            cert = below
+            n_star, at, settled, note = N, cert, N - 1, ""
+            break
         if cert.verdict == "indeterminate":
             settled, note = N - 1, ("node budget exhausted"
                                     if cert.trace["nodes"] >= node_budget
                                     else "time budget exhausted")
             break
         color = dict(enumerate(cert.coloring.colors.tolist(), 1))
-    _checked_coloring(settled, r, color)  # the note rests on it alone
+    below = SearchCertificate(r, settled, "colorable",
+                              _checked_coloring(settled, r, color),
+                              trace={"source": "scan"})
     # a budget stop at N is reported at N, the end of the scan at nmax
-    return ThresholdResult(r, None, None, None, min(settled + 1, nmax), note)
+    exhausted_at = None if n_star else min(settled + 1, nmax)
+    return ThresholdResult(r, n_star, below, at, exhausted_at, note)

@@ -82,6 +82,26 @@ class TestSubcommands:
         assert run(["threshold", "--r", "2", "--nmax", "30",
                     "--output", out]) == 4
 
+    def test_threshold_lower_bound_is_a_checkable_coloring(self, tmp_path,
+                                                           capsys):
+        # an exit without N* at r >= 3 writes the scan's coloring of what
+        # it settled, the same bytes on every run, and detect accepts it
+        argv = ["threshold", "--r", "4", "--nmax", "4400", "--output"]
+        assert run(argv + [str(tmp_path / "a")]) == 4
+        assert "N*(4) > 4400 (checked coloring" in capsys.readouterr().out
+        assert run(argv + [str(tmp_path / "b")]) == 4
+        text = (tmp_path / "a" / "threshold.json").read_text()
+        assert (tmp_path / "b" / "threshold.json").read_text() == text
+        rle = json.loads(text)["result"]["below"]["coloring_rle"]
+        assert rle["N"] == 4400
+        col = tmp_path / "below.json"
+        col.write_text(json.dumps(rle))
+        out = tmp_path / "d"
+        assert run(["detect", "--coloring", str(col),
+                    "--output", str(out)]) == 0
+        assert json.loads((out / "detect.json").read_text()
+                          )["result"]["witness"] is None
+
     def test_norms(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["norms", "--N", "2000", "--q", "1,2", "--H", "8,16",
@@ -591,7 +611,11 @@ class TestDefaultArtifactsPinned:
     move.  dioph-weyl (was 9bed9245...a2b0) was recorded again when
     weyl took dioph_verify's scan: the grid margin lowers its check
     level, abs_sum is |sum| / X, the rows follow dioph's rule, and
-    weyl.json gained levels, certified and required_spacing.  Each
+    weyl.json gained levels, certified and required_spacing.
+    threshold-r1 (was d2f0d3df...4916) and threshold-r2 (was
+    dd4414dd...104b) were recorded again when `below` became the scan's
+    checked coloring of [n_star - 1]: only `below` moved, its trace to
+    {"source": "scan"} and, at r = 2, its coloring.  Each
     subcommand runs in a fresh working
     directory with relative paths; a digest covers every file under the
     output directory in sorted order, as relative path, a NUL byte, then
@@ -602,9 +626,9 @@ class TestDefaultArtifactsPinned:
         ("extremal", ["extremal", "--r", "12", "--all-up-to"],
          "8f549cca5e9d5dde4100850c954d3ebfaa4cd6161a613ae98e0195a031217922"),
         ("threshold-r1", ["threshold", "--r", "1"],
-         "d2f0d3df5eb505fc986d69b8d6d3abe59cd7d12c6d778c59e464c047ca9b4916"),
+         "290903b25075032905c37fff5a8557b37ce3fa6abb2bbd48d431f67acda27f7b"),
         ("threshold-r2", ["threshold", "--r", "2"],
-         "dd4414dd5068f0f6a75c44bc1013a7ccab7638a9ef73e88b7dcf1f3e73ea104b"),
+         "90f504ff7c7294f8ec1ca75ccc590f996e1a148e8105898af58447e6a8ecc3d8"),
         ("detect", ["detect", "--coloring", "inputs/extremal.json"],
          "8e68d919596b5ed8d02b85d653d972e7af5276a846d826ce9af3f7e02ecb3746"),
         ("norms", ["norms", "--seed", SEED],

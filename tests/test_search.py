@@ -172,8 +172,9 @@ class TestSearchTreePinned:
     """Node counts, depths and certificate digests of the r >= 3 search,
     recorded from the recursive DSATUR it replaced: the pick order, the
     symmetry rule and the budget check must give the same tree.  The
-    sp_number digests at r = 1 and r = 2 were recorded from the
-    first-edge and union-find scans that the one greedy scan replaced."""
+    sp_number digests were recorded again when `below` became the
+    scan's checked coloring of [N* - 1] in place of a second exact
+    search there; `at` and every other field kept their bytes."""
 
     def test_refutation_at_774(self):
         cert = colorability(774, 3)
@@ -211,24 +212,25 @@ class TestSearchTreePinned:
         assert _sha(colorability(N, r)) == digest
 
     @pytest.mark.parametrize("r, nmax, digest", [
-        (1, None, "fdcc4e6c41d9a36c2e4ce903030dc9d2"
-                  "c4d27f9a4c73efa3e22d560b79a6d76e"),
-        (2, None, "0f4976df7cba7adb88afc1345e483cc7"
-                  "df8e2dfddb2d4c12162c91d52f41c654"),
-        (3, 800, "742a5f44a7a15782d57bd9e440134663"
-                 "fa2d3dd393e22a1805963922053496bb"),
+        (1, None, "0a06f8a280a362d969470d9c78cc6c7d"
+                  "9424f10adc1f44051175e47603d92cf2"),
+        (2, None, "b2796f1c73de3856f7dfdf9cb09d423e"
+                  "3b2d66ae6abf0a36da85481ebf4b7266"),
+        (3, 800, "be938e3f04999fa303db1b08dd778ef5"
+                 "e71c30c4a7c4a90ea857961a12f66004"),
     ], ids=["r1", "r2", "r3"])
     def test_sp_number_digest(self, r, nmax, digest):
         assert _sha(sp_number(r, nmax)) == digest
 
     # the N at which the scan calls colorability, recorded from the scan
     # that repairs its coloring by Kempe chains before any exact re-solve
-    R3_RESOLVES = [308, 450, 504, 558, 612, 666, 720, 774, 773]
+    # and takes below from its own coloring, not from a search at N* - 1
+    R3_RESOLVES = [308, 450, 504, 558, 612, 666, 720, 774]
     R4_RESOLVES = [1216]
 
     @pytest.mark.parametrize("r, nmax, resolves", [
-        (1, None, [12, 11]),
-        (2, None, [54, 53]),
+        (1, None, [12]),
+        (2, None, [54]),
         (3, 800, R3_RESOLVES),
         (4, 3000, R4_RESOLVES),
     ], ids=["r1", "r2", "r3", "r4"])
@@ -534,6 +536,25 @@ class TestSpNumber:
         assert res.note == "2-colorable for all N <= nmax"
         assert res.exhausted_at == 40
 
+    @pytest.mark.parametrize("r, nmax, budgets", [
+        (1, None, {}), (2, None, {}), (3, 800, {}), (2, 0, {}), (3, 11, {}),
+        (2, 40, {}), (3, 800, {"node_budget": 1000}),
+        (3, 800, {"time_budget_s": 0})])
+    def test_every_exit_carries_the_scan_coloring(self, r, nmax, budgets):
+        # below is the checked coloring of what the scan settled: [N* - 1],
+        # [exhausted_at - 1] at a budget stop, [nmax] at the end
+        res = sp_number(r, nmax, **budgets)
+        if res.n_star is not None:
+            settled = res.n_star - 1
+        elif "budget" in res.note:
+            settled = res.exhausted_at - 1
+        else:
+            settled = nmax
+        assert res.below.verdict == "colorable"
+        assert res.below.trace == {"source": "scan"}
+        assert res.below.N == res.below.coloring.N == settled
+        assert find_monochromatic(res.below.coloring) is None
+
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("nmax", [11, 12, 40, 53, 54, 100])
     def test_scan_matches_first_refuted_N(self, r, nmax):
@@ -548,32 +569,57 @@ class TestSpNumber:
         assert res.n_star is None
         assert res.exhausted_at == 300
 
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_refutation_below_the_threshold_raises(self, monkeypatch, r):
-        # the scan held a proper coloring of [N* - 1], so a refutation
-        # there is a search fault, not the colorable-side certificate
-        monkeypatch.setattr(
-            search, "colorability",
-            lambda N, r, *args: search.SearchCertificate(r, N,
-                                                         "not-colorable"))
-        with pytest.raises(RuntimeError, match="refuted"):
-            sp_number(r)
-
-    @pytest.mark.parametrize("r, p, stuck", [(1, 12, 14), (2, 54, 62),
-                                             (3, 774, 800)])
-    def test_planted_scan_fault_is_caught(self, monkeypatch, r, p, stuck):
+    @pytest.mark.parametrize("r, p, stuck, pair", [
+        (1, 12, 14, "7 and 12"), (2, 54, 62, "15 and 54"),
+        (3, 774, 800, "95 and 774")], ids=["1-12-14", "2-54-62", "3-774-800"])
+    def test_planted_scan_fault_is_caught(self, monkeypatch, r, p, stuck,
+                                          pair):
         # the scan reads pair sums from _edges_with_product, the exact
         # search its own pattern_graph walk: with product p's pairs lost
         # to the scan alone, the scan colors a graph the search refutes
-        # (r <= 2), or, where no product after p is stuck (r = 3), ends
-        # with a coloring of [nmax] that the final check rejects
+        # at stuck + 1 (r <= 2), or, where no product after p is stuck
+        # (r = 3), reaches nmax; either way the check of its coloring of
+        # [stuck], the one below would carry, rejects it
         real = search._edges_with_product
         monkeypatch.setattr(search, "_edges_with_product",
                             lambda N: [] if N == p else real(N))
-        match = (rf"\[{stuck}\] refuted after the scan" if r < 3 else
-                 rf"N = {stuck} pattern graph: 95 and 774 share a color")
-        with pytest.raises(RuntimeError, match=match):
+        with pytest.raises(RuntimeError,
+                           match=rf"improper {r}-coloring of the N = {stuck} "
+                                 rf"pattern graph: {pair} share a color"):
             sp_number(r, nmax=800)
+
+    @pytest.mark.parametrize("r, nmax, budgets, flipped, match", [
+        # the re-solve at 720 is the last before the refutation at 774;
+        # the Kempe repair at 728 checks the whole coloring first
+        (3, 800, {}, 720, "N = 728 pattern graph: 243 and 720"),
+        # 4256 is colored in 3,692 nodes, and no Kempe repair comes
+        # before 4275 runs out of 3,700, so the exit's own check of
+        # [4274] is the one that rejects it
+        (4, 4300, {"node_budget": 3700}, 4256,
+         "N = 4274 pattern graph: 1068 and 4256"),
+    ], ids=["n_star", "node-budget"])
+    def test_planted_resolve_fault_never_reaches_a_result(
+            self, monkeypatch, r, nmax, budgets, flipped, match):
+        # a re-solve hands the scan a coloring with one edge made
+        # monochromatic after colorability's own check: the scan must
+        # raise, and no ThresholdResult may be built around it
+        real = search.colorability
+        results = []
+
+        def flipping(N, r, *args):
+            cert = real(N, r, *args)
+            if N == flipped:
+                s, p = search._edges_with_product(N)[0]
+                cert.coloring.colors[p - 1] = cert.coloring.colors[s - 1]
+            return cert
+
+        monkeypatch.setattr(search, "colorability", flipping)
+        monkeypatch.setattr(search, "ThresholdResult",
+                            lambda *args: results.append(args))
+        with pytest.raises(RuntimeError,
+                           match=rf"improper {r}-coloring of the {match}"):
+            sp_number(r, nmax=nmax, **budgets)
+        assert results == []
 
     @pytest.mark.parametrize("budget", ["node", "time"])
     def test_planted_scan_fault_at_a_budget_stop_is_caught(self, monkeypatch,
